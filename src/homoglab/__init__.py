@@ -10,7 +10,6 @@ from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .integrand import (
     FORM_DEGENERATE,
     FORM_P_DIRICHLET,
-    FORM_QUADRATIC,
     GrowthReport,
     IntegrandSpec,
     MomentEstimate,
@@ -43,7 +42,6 @@ from .solver import (
     cell_problem,
     effective_integrand,
     minimize,
-    minimize_coupled,
 )
 from .twoscale import (
     Dictionary,

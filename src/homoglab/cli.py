@@ -3,8 +3,8 @@
     homoglab <sweep|diagram|nonergodic|quenched-vs-mean|cell|solve|pair|young>
              --config <path> [--out <dir>] [--threads k] [--force]
 
-Exit codes: 0 success, 1 validation error, 2 solver non-convergence,
-3 I/O error.
+Exit codes: 0 success, 1 validation error, 2 solver non-convergence or
+failure, or diagram paths that disagree beyond tol_diagram, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -12,10 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, load_config
+from .config import STUDY_KINDS, ConfigError, load_config
 from .experiments import run_study, write_outputs
-
-_COMMANDS = ("sweep", "diagram", "nonergodic", "quenched-vs-mean", "cell", "solve", "pair", "young")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -25,7 +23,7 @@ def build_parser() -> argparse.ArgumentParser:
         "oscillatory energy minimization, two-scale diagnostics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in STUDY_KINDS:
         p = sub.add_parser(name, help=f"run the {name} study/operation")
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="output directory (default from config)")
@@ -63,10 +61,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{key} = {report.summary[key]}")
     for p in paths:
         print(f"wrote {p}")
+    code = 0
     if report.any_nonconverged:
         print("warning: at least one solve did not reach tolerance", file=sys.stderr)
-        return 2
-    return 0
+        code = 2
+    if report.summary.get("paths_agree") is False:
+        print(
+            f"warning: diagram paths disagree, rel_disagreement = "
+            f"{report.summary['rel_disagreement']:g} > tol_diagram = {cfg.tol_diagram:g}",
+            file=sys.stderr,
+        )
+        code = 2
+    return code
 
 
 if __name__ == "__main__":

@@ -14,12 +14,12 @@ import hashlib
 import io
 from dataclasses import dataclass, field
 
-from .integrand import FORM_DEGENERATE, FORM_P_DIRICHLET, FORM_QUADRATIC, IntegrandSpec
+from .integrand import FORM_DEGENERATE, FORM_P_DIRICHLET, IntegrandSpec
 from .medium import DiscreteValues, EnsembleSpec, UniformValues
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config"]
 
-STUDY_KINDS = ("sweep", "diagram", "nonergodic", "quenched-vs-mean", "cell", "pair", "young")
+STUDY_KINDS = ("sweep", "diagram", "nonergodic", "quenched-vs-mean", "cell", "solve", "pair", "young")
 
 
 class ConfigError(ValueError):
@@ -91,7 +91,6 @@ _DEFAULTS = {
         "n_per_cell": "8",
         "h_over_eps": "8",
         "fine_n": "",
-        "rve_bc": "periodic",
     },
     "dictionary": {
         "probe_radius": "1",
@@ -210,7 +209,7 @@ def parse_config(text: str) -> ExperimentConfig:
         eps_list = tuple(sorted(_num_list(get("study", "eps")), reverse=True))
         delta_list = tuple(sorted(_num_list(get("study", "delta")), reverse=True))
         L_list = _int_list(get("study", "L"))
-        if not eps_list and kind in ("sweep", "diagram", "quenched-vs-mean", "pair", "young"):
+        if not eps_list and kind not in ("nonergodic", "cell"):
             raise ConfigError("eps list must not be empty")
         if not L_list:
             raise ConfigError("L list must not be empty")
@@ -234,9 +233,6 @@ def parse_config(text: str) -> ExperimentConfig:
         tol = _num(tol_txt) if tol_txt else (1e-8 if p == 2.0 else 1e-6)
         fine_txt = get("solver", "fine_n")
         fine_n = int(fine_txt) if fine_txt else (256 if d == 1 else 128)
-        rve_bc = get("solver", "rve_bc")
-        if rve_bc != "periodic":
-            raise ConfigError("only rve_bc = periodic is supported")
 
         cfg = ExperimentConfig(
             ensemble=ensemble,

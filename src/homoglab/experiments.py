@@ -165,21 +165,27 @@ def _check_resolution(cfg: ExperimentConfig, force: bool) -> None:
         raise ConfigError("mesh rule leaves h > eps/4; rerun with --force to override")
 
 
-# ---------------------------------------------------------------- sweep ----
+def _dictionary(cfg: ExperimentConfig) -> Dictionary:
+    return build_dictionary(
+        cfg.ensemble,
+        cfg.probe_radius,
+        cfg.cosine_degree,
+        cfg.integrand.p,
+        cfg.mc_samples,
+        cfg.max_entries,
+    )
 
 
-def _sweep_task(payload):
-    cfg, eps, index, dico, limit_values, limit_norm = payload
+def _quenched_task(payload):
+    """Minimize along one fixed realization, then pair the minimizer with the dictionary."""
+    cfg, eps, index, dico, include_gradient = payload
     t0 = time.perf_counter()
     r = sample_realization(cfg.ensemble, index)
     mesh = build_mesh(cfg.ensemble.dimension, cfg.mesh_n(eps))
     E = assemble_energy([r], eps, mesh, cfg.integrand, load=cfg.load)
     res = minimize(E, tol=cfg.tol, max_iter=cfg.max_iter)
     u = res.fields[0]
-    pv = quenched_pairing(u, r, eps, dico)
-    lim = PairingVector(
-        values=limit_values, eps=0.0, norm=limit_norm, tag="limit", dico=dico, blocks=1
-    )
+    pv = quenched_pairing(u, r, eps, dico, include_gradient=include_gradient)
     return {
         "eps": eps,
         "seed": index,
@@ -187,11 +193,39 @@ def _sweep_task(payload):
         "iters": res.iterations,
         "grad_norm": res.grad_norm,
         "converged": res.converged,
-        "dist_pairing": metric_distance(pv, lim),
+        "values": pv.values,
+        "norm": pv.norm,
         "nodal": u.values,
         "mesh_n": mesh.n,
         "wall_ms": (time.perf_counter() - t0) * 1e3,
     }
+
+
+def _quenched_results(
+    cfg: ExperimentConfig, dico: Dictionary, threads: int, include_gradient: bool = False
+) -> list[dict]:
+    """One quenched task per (eps, realization), in eps-major order."""
+    payloads = [
+        (cfg, eps, i, dico, include_gradient)
+        for eps in cfg.eps_list
+        for i in range(cfg.n_realizations)
+    ]
+    return _pmap(_quenched_task, payloads, threads)
+
+
+def _pairing_vector(res: dict, dico: Dictionary) -> PairingVector:
+    """The quenched pairing of a task result, against the parent's dictionary."""
+    return PairingVector(
+        values=res["values"],
+        eps=res["eps"],
+        norm=res["norm"],
+        tag=str(res["seed"]),
+        dico=dico,
+        blocks=len(res["values"]) // len(dico),
+    )
+
+
+# ---------------------------------------------------------------- sweep ----
 
 
 def run_homogenization_sweep(
@@ -205,24 +239,12 @@ def run_homogenization_sweep(
     t0 = time.perf_counter()
     c_hom, c_err = _reference_coefficient(cfg)
     u_hom, min_hom = _homogenized_solve(cfg, c_hom)
-    dico = build_dictionary(
-        cfg.ensemble,
-        cfg.probe_radius,
-        cfg.cosine_degree,
-        cfg.integrand.p,
-        cfg.mc_samples,
-        cfg.max_entries,
-    )
+    dico = _dictionary(cfg)
     lim = limit_pairing(u_hom, dico, mode="function")
     rep.timing_rows.append(["sweep", "reference", (time.perf_counter() - t0) * 1e3])
     rep.summary.update(c_hom=c_hom, c_hom_stderr=c_err, min_hom=min_hom)
 
-    payloads = [
-        (cfg, eps, i, dico, lim.values, lim.norm)
-        for eps in cfg.eps_list
-        for i in range(cfg.n_realizations)
-    ]
-    results = _pmap(_sweep_task, payloads, threads)
+    results = _quenched_results(cfg, dico, threads)
 
     gap_med, dist_med = [], []
     for eps in cfg.eps_list:
@@ -245,7 +267,7 @@ def run_homogenization_sweep(
                     min_energy=res["min_energy"],
                     energy_gap=gap,
                     dist_lp=dlp,
-                    dist_pairing=res["dist_pairing"],
+                    dist_pairing=metric_distance(_pairing_vector(res, dico), lim),
                     iters=res["iters"],
                     grad_norm=res["grad_norm"],
                 )
@@ -311,7 +333,8 @@ def run_regularization_diagram(
     Path one sends delta -> 0 at finite eps (decoupled solves), then eps -> 0;
     path two homogenizes at fixed delta (regularized cell formula), then sends
     delta -> 0 by extrapolating down the delta list.  The two ends must agree
-    within the configured tolerance.
+    within the configured tolerance; summary key paths_agree records whether
+    rel_disagreement <= tol_diagram.
     """
     _check_resolution(cfg, force)
     if not cfg.delta_list:
@@ -387,13 +410,17 @@ def run_regularization_diagram(
         path_hom_route = c_by_delta[delta_min][1]
     ref = c_by_delta[0.0][1]
     disagreement = abs(path_eps_route - path_hom_route)
+    rel_disagreement = disagreement / abs(ref) if ref else float("inf")
     rep.summary.update(
         path_delta_then_eps=path_eps_route,
         path_eps_then_delta=path_hom_route,
         c_extrapolated=c_star,
         min_hom=ref,
         disagreement=disagreement,
-        rel_disagreement=disagreement / abs(ref) if ref else float("inf"),
+        rel_disagreement=rel_disagreement,
+        # a statistical check (sampling error of the realizations), reported
+        # and mapped to the CLI's exit code 2 rather than raised
+        paths_agree=rel_disagreement <= cfg.tol_diagram,
         c_monotone=all(
             c_by_delta[a][0] >= c_by_delta[b][0] - 1e-12
             for a, b in zip(deltas, deltas[1:])
@@ -412,27 +439,6 @@ def run_regularization_diagram(
 # ------------------------------------------------------------ nonergodic ----
 
 
-def _nonergodic_task(payload):
-    cfg, eps, index, dico = payload
-    t0 = time.perf_counter()
-    r = sample_realization(cfg.ensemble, index)
-    mesh = build_mesh(cfg.ensemble.dimension, cfg.mesh_n(eps))
-    E = assemble_energy([r], eps, mesh, cfg.integrand, load=cfg.load)
-    res = minimize(E, tol=cfg.tol, max_iter=cfg.max_iter)
-    pv = quenched_pairing(res.fields[0], r, eps, dico)
-    return {
-        "eps": eps,
-        "seed": index,
-        "min_energy": res.energy,
-        "iters": res.iterations,
-        "grad_norm": res.grad_norm,
-        "converged": res.converged,
-        "values": pv.values,
-        "norm": pv.norm,
-        "wall_ms": (time.perf_counter() - t0) * 1e3,
-    }
-
-
 def run_nonergodic_study(cfg: ExperimentConfig, threads: int = 1, force: bool = False) -> StudyReport:
     """Cluster per-realization limits of a periodized (nonergodic) ensemble.
 
@@ -445,14 +451,7 @@ def run_nonergodic_study(cfg: ExperimentConfig, threads: int = 1, force: bool = 
         raise ConfigError("nonergodic study needs an ensemble with a periodization length")
     rep = StudyReport(kind="nonergodic")
     _log_realizations(rep, cfg)
-    dico = build_dictionary(
-        cfg.ensemble,
-        cfg.probe_radius,
-        cfg.cosine_degree,
-        cfg.integrand.p,
-        cfg.mc_samples,
-        cfg.max_entries,
-    )
+    dico = _dictionary(cfg)
     # exact per-realization limits via the fundamental cell problem
     limits = {}
     for i in range(cfg.n_realizations):
@@ -486,19 +485,9 @@ def run_nonergodic_study(cfg: ExperimentConfig, threads: int = 1, force: bool = 
 
     trajectories: dict[str, list[PairingVector]] = {str(i): [] for i in range(cfg.n_realizations)}
     if cfg.eps_list:
-        payloads = [
-            (cfg, eps, i, dico) for eps in cfg.eps_list for i in range(cfg.n_realizations)
-        ]
-        results = _pmap(_nonergodic_task, payloads, threads)
-        for res in results:
+        for res in _quenched_results(cfg, dico, threads):
             key = str(res["seed"])
-            pv = PairingVector(
-                values=res["values"],
-                eps=res["eps"],
-                norm=res["norm"],
-                tag=key,
-                dico=dico,
-            )
+            pv = _pairing_vector(res, dico)
             trajectories[key].append(pv)
             rep.rows.append(
                 ReportRow(
@@ -553,27 +542,6 @@ def run_nonergodic_study(cfg: ExperimentConfig, threads: int = 1, force: bool = 
 # -------------------------------------------------------- quenched vs mean ----
 
 
-def _qvm_task(payload):
-    cfg, eps, index, dico = payload
-    t0 = time.perf_counter()
-    r = sample_realization(cfg.ensemble, index)
-    mesh = build_mesh(cfg.ensemble.dimension, cfg.mesh_n(eps))
-    E = assemble_energy([r], eps, mesh, cfg.integrand, load=cfg.load)
-    res = minimize(E, tol=cfg.tol, max_iter=cfg.max_iter)
-    pv = quenched_pairing(res.fields[0], r, eps, dico, include_gradient=True)
-    return {
-        "eps": eps,
-        "seed": index,
-        "min_energy": res.energy,
-        "iters": res.iterations,
-        "grad_norm": res.grad_norm,
-        "converged": res.converged,
-        "values": pv.values,
-        "norm": pv.norm,
-        "wall_ms": (time.perf_counter() - t0) * 1e3,
-    }
-
-
 def run_quenched_vs_mean(cfg: ExperimentConfig, threads: int = 1, force: bool = False) -> StudyReport:
     """Compare quenched pairing trajectories with the mean and limit pairings."""
     _check_resolution(cfg, force)
@@ -581,14 +549,7 @@ def run_quenched_vs_mean(cfg: ExperimentConfig, threads: int = 1, force: bool = 
         raise ConfigError("quenched-vs-mean study needs the ergodic (unperiodized) ensemble")
     rep = StudyReport(kind="quenched-vs-mean")
     _log_realizations(rep, cfg)
-    dico = build_dictionary(
-        cfg.ensemble,
-        cfg.probe_radius,
-        cfg.cosine_degree,
-        cfg.integrand.p,
-        cfg.mc_samples,
-        cfg.max_entries,
-    )
+    dico = _dictionary(cfg)
     t0 = time.perf_counter()
     L = max(cfg.L_list)
     csets = sample_correctors(
@@ -605,8 +566,7 @@ def run_quenched_vs_mean(cfg: ExperimentConfig, threads: int = 1, force: bool = 
     rep.timing_rows.append(["quenched-vs-mean", "limit", (time.perf_counter() - t0) * 1e3])
     rep.summary.update(c_hom=c_hom, min_hom=min_hom)
 
-    payloads = [(cfg, eps, i, dico) for eps in cfg.eps_list for i in range(cfg.n_realizations)]
-    results = _pmap(_qvm_task, payloads, threads)
+    results = _quenched_results(cfg, dico, threads, include_gradient=True)
 
     trajectories: dict[str, list[PairingVector]] = {str(i): [] for i in range(cfg.n_realizations)}
     mean_trajectory: list[PairingVector] = []
@@ -616,14 +576,7 @@ def run_quenched_vs_mean(cfg: ExperimentConfig, threads: int = 1, force: bool = 
         sub = [r for r in results if r["eps"] == eps]
         vecs = []
         for res in sub:
-            pv = PairingVector(
-                values=res["values"],
-                eps=eps,
-                norm=res["norm"],
-                tag=str(res["seed"]),
-                dico=dico,
-                blocks=1 + cfg.ensemble.dimension,
-            )
+            pv = _pairing_vector(res, dico)
             vecs.append(pv)
             trajectories[str(res["seed"])].append(pv)
             dq = metric_distance(pv, lim)
@@ -762,18 +715,17 @@ def run_solve(cfg: ExperimentConfig, threads: int = 1, force: bool = False) -> S
     """Minimize the configured oscillatory energy per (eps, seed)."""
     _check_resolution(cfg, force)
     rep = StudyReport(kind="solve")
-    delta = cfg.delta_list[0] if cfg.delta_list else 0.0
     for eps in cfg.eps_list:
         mesh = build_mesh(cfg.ensemble.dimension, cfg.mesh_n(eps))
         for i in range(cfg.n_realizations):
             r = sample_realization(cfg.ensemble, i)
-            E = assemble_energy([r], eps, mesh, cfg.integrand, load=cfg.load, delta=0.0)
+            E = assemble_energy([r], eps, mesh, cfg.integrand, load=cfg.load)
             res = minimize(E, tol=cfg.tol, max_iter=cfg.max_iter)
             rep.cell_rows.append(
                 [
                     None,
                     max(cfg.L_list),
-                    delta,
+                    0.0,
                     eps,
                     i,
                     res.energy,

@@ -1,16 +1,14 @@
 """Convex densities with p-growth or degenerate weighted growth.
 
 All supported forms are weighted p-th powers of the gradient norm,
-V = (w/p) |F|^p, where the weight w combines the random coefficient field,
-an optional independent degenerate weight field, and an optional smooth
-deterministic modulation of the macroscopic position.  This keeps the
+V = (w/p) |F|^p, where the weight w combines the random coefficient field
+and an optional independent degenerate weight field.  This keeps the
 gradient w |F|^{p-2} F analytic and makes p = 2 the standard quadratic form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -32,39 +30,32 @@ __all__ = [
     "verify_growth",
     "moment_estimate",
     "FORM_P_DIRICHLET",
-    "FORM_QUADRATIC",
     "FORM_DEGENERATE",
 ]
 
 FORM_P_DIRICHLET = "weighted-p-dirichlet"
-FORM_QUADRATIC = "two-phase-quadratic"
 FORM_DEGENERATE = "degenerate-weighted"
-_FORMS = (FORM_P_DIRICHLET, FORM_QUADRATIC, FORM_DEGENERATE)
+_FORMS = (FORM_P_DIRICHLET, FORM_DEGENERATE)
 
 
 @dataclass(frozen=True)
 class IntegrandSpec:
-    """Convex density (w/p)|F|^p with weight w = a * [lambda] * [m(x)].
+    """Convex density (w/p)|F|^p with weight w = a * [lambda].
 
     The a-field comes from the realization passed at evaluation time; the
     degenerate weight field (form degenerate-weighted) is an independent
     companion field derived deterministically from that realization's seed.
-    modulation, when given, must be smooth and bounded away from 0 on the
-    closed unit box.
     """
 
     p: float
     form: str = FORM_P_DIRICHLET
     lambda_cells: EnsembleSpec | None = None
-    modulation: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if not (1.5 <= self.p <= 4.0):
             raise ValueError("exponent p must lie in [1.5, 4]")
         if self.form not in _FORMS:
             raise ValueError(f"unknown integrand form {self.form!r}")
-        if self.form == FORM_QUADRATIC and self.p != 2.0:
-            raise ValueError("two-phase-quadratic requires p = 2")
         if self.form == FORM_DEGENERATE and self.lambda_cells is None:
             raise ValueError("degenerate-weighted form needs a lambda ensemble")
 
@@ -85,8 +76,6 @@ def combined_weight(spec: IntegrandSpec, r: Realization, x: np.ndarray) -> np.nd
     w = np.asarray(eval_coefficient(r, x), dtype=float)
     if spec.degenerate:
         w = w * eval_coefficient(lambda_field(spec, r), x)
-    if spec.modulation is not None:
-        w = w * spec.modulation(np.asarray(x, dtype=float))
     return w
 
 

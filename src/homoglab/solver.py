@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .integrand import IntegrandSpec, lambda_field
-from .medium import EnsembleSpec, Realization, eval_coefficient, periodize, sample_realization
+from .integrand import IntegrandSpec, combined_weight
+from .medium import EnsembleSpec, Realization, periodize, sample_realization
 from .meshing import (
     DIRICHLET_ZERO,
     PERIODIC_MEAN_ZERO,
@@ -40,7 +40,6 @@ __all__ = [
     "EffectiveValue",
     "assemble_energy",
     "minimize",
-    "minimize_coupled",
     "cell_problem",
     "effective_integrand",
 ]
@@ -48,21 +47,12 @@ __all__ = [
 Load = float | Callable[[np.ndarray], np.ndarray] | None
 
 
-def random_weight(spec: IntegrandSpec, r: Realization, pts: np.ndarray) -> np.ndarray:
-    """Random part of the density weight (a-field times degenerate weight)."""
-    w = np.asarray(eval_coefficient(r, pts), dtype=float)
-    if spec.degenerate:
-        w = w * eval_coefficient(lambda_field(spec, r), pts)
-    return w
-
-
 @dataclass
 class EnergyFunctional:
     """Discretized energy, ready for minimization.
 
-    coef[i, e] holds the density weight of realization i at element e:
-    the random field sampled at barycenter/eps times the deterministic
-    modulation at the barycenter.  delta > 0 with coupled=True adds the
+    coef[i, e] holds the density weight of realization i at element e,
+    sampled at barycenter/eps.  delta > 0 with coupled=True adds the
     empirical-variance penalty; with a "corrector" penalty (cell problems)
     it penalizes each gradient individually, see `_Objective`.
     """
@@ -99,7 +89,7 @@ def assemble_energy(
     """Build the sample-averaged oscillatory energy on the given mesh.
 
     The random coefficient is sampled at tau_{x_e/eps}, one point per element
-    barycenter x_e; the load and modulation stay at macroscopic coordinates.
+    barycenter x_e; the load stays at macroscopic coordinates.
     """
     realizations = list(realizations)
     if not realizations:
@@ -121,9 +111,7 @@ def assemble_energy(
         if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be positive and sum to 1")
     bary = mesh.barycenters
-    coef = np.stack([random_weight(integrand, r, bary / eps) for r in realizations])
-    if integrand.modulation is not None:
-        coef = coef * integrand.modulation(bary)
+    coef = np.stack([combined_weight(integrand, r, bary / eps) for r in realizations])
     if load is None:
         f_e = np.zeros(mesh.n_elements)
     elif callable(load):
@@ -339,7 +327,8 @@ def _ncg(fun, x0: np.ndarray, tol: float, max_iter: int, precond: np.ndarray | N
             d = -z
             continue
         x_new, f_new, g_new, alpha = hit
-        assert f_new <= f + 1e-11 * (1.0 + abs(f)), "energy increased along accepted step"
+        if not f_new <= f + 1e-11 * (1.0 + abs(f)):
+            raise FloatingPointError("energy increased along an accepted step")
         s_prev = x_new - x
         y_prev = g_new - g
         z_new = prec(g_new)
@@ -428,25 +417,6 @@ def minimize(
     return _result_from_solution(obj, x, f, iters, gnorm, conv, t0, "ncg")
 
 
-def minimize_coupled(
-    realizations: Sequence[Realization],
-    eps: float,
-    mesh: Mesh,
-    integrand: IntegrandSpec,
-    load: Load,
-    delta: float,
-    tol: float = 1e-8,
-    max_iter: int = 20_000,
-) -> MinimizeResult:
-    """Jointly minimize the variance-regularized sample energy (N >= 2 fields)."""
-    if len(realizations) < 2:
-        raise ValueError("coupled minimization needs at least 2 realizations")
-    E = assemble_energy(
-        realizations, eps, mesh, integrand, load=load, delta=delta, coupled=delta > 0
-    )
-    return minimize(E, tol=tol, max_iter=max_iter)
-
-
 @dataclass
 class CellResult:
     value: float
@@ -487,7 +457,7 @@ def cell_problem(
     t0 = time.perf_counter()
     d = r.dimension
     mesh = build_mesh(d, n=L * n_per_cell, size=float(L))
-    coef = random_weight(integrand, r, mesh.barycenters)[None, :]
+    coef = combined_weight(integrand, r, mesh.barycenters)[None, :]
     E = EnergyFunctional(
         realizations=[r],
         weights=np.ones(1),

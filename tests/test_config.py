@@ -105,6 +105,7 @@ class TestValidation:
             "[study]\neps = 0\n",
             "[study]\nn_realizations = 0\n",
             "[study]\nL = 0\n",
+            "[study]\nkind = solve\neps =\n",
             "[solver]\nrve_bc = dirichlet\n",
             "[integrand]\nform = degenerate-weighted\n",
             "[ensemble]\ndimension = 2\n\n[study]\nF = 1\n",

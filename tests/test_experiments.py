@@ -55,6 +55,26 @@ n_realizations = 3
 max_entries = 8
 """
 
+DIAGRAM_SMALL = """
+[ensemble]
+dimension = 1
+values = 1
+probs = 1
+seed = 21
+
+[integrand]
+form = degenerate-weighted
+lambda_values = 0.05, 1
+lambda_probs = 0.5, 0.5
+
+[study]
+kind = diagram
+eps = 1/8
+delta = 0.2, 0.05
+L = 16
+n_realizations = 2
+"""
+
 
 def read_rows(path):
     with open(path, newline="") as fh:
@@ -152,6 +172,16 @@ n_realizations = 4
     def test_needs_delta_list(self):
         with pytest.raises(ConfigError):
             run_regularization_diagram(parse_config(SWEEP_SMALL))
+
+    def test_cli_exit_two_when_paths_disagree(self, tmp_path, capsys):
+        cfgp = tmp_path / "diagram.ini"
+        cfgp.write_text(DIAGRAM_SMALL + "tol_diagram = 1e-12\n")
+        assert cli_main(["diagram", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        assert "tol_diagram" in capsys.readouterr().err
+        assert "paths_agree = False" in (tmp_path / "o" / "summary.txt").read_text()
+        cfgp.write_text(DIAGRAM_SMALL + "tol_diagram = 0.5\n")
+        assert cli_main(["diagram", "--config", str(cfgp), "--out", str(tmp_path / "p")]) == 0
+        assert "paths_agree = True" in (tmp_path / "p" / "summary.txt").read_text()
 
 
 class TestNonergodic:
@@ -346,6 +376,17 @@ class TestOutputsAndCLI:
         write_outputs(rep2, parse_config(SWEEP_SMALL), str(tmp_path / "solve"))
         rows2 = read_rows(tmp_path / "solve" / "cell.csv")
         assert rows2[0] == CELL_HEADER
+
+    def test_solve_kind_writes_the_solved_delta(self, tmp_path):
+        # solve minimizes the unregularized energy whatever the delta list says
+        cfg = parse_config(SWEEP_SMALL.replace("kind = sweep", "kind = solve\ndelta = 0.2"))
+        rep = run_study(cfg)
+        assert rep.kind == "solve"
+        write_outputs(rep, cfg, str(tmp_path))
+        rows = read_rows(tmp_path / "cell.csv")
+        col = rows[0].index("delta")
+        assert len(rows) == 1 + len(cfg.eps_list) * cfg.n_realizations
+        assert all(float(row[col]) == 0.0 for row in rows[1:])
 
     def test_cell_plot_emitted_only_with_multiple_L(self, tmp_path):
         cfg = parse_config(

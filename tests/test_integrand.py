@@ -5,7 +5,6 @@ import pytest
 
 from homoglab.integrand import (
     FORM_DEGENERATE,
-    FORM_QUADRATIC,
     IntegrandSpec,
     density_gradient,
     evaluate_density,
@@ -40,7 +39,7 @@ class TestDensity:
         "spec",
         [
             IntegrandSpec(p=2.0),
-            IntegrandSpec(p=2.0, form=FORM_QUADRATIC),
+            IntegrandSpec(p=1.5),
             IntegrandSpec(p=3.0),
             IntegrandSpec(p=2.0, form=FORM_DEGENERATE, lambda_cells=CB),
         ],
@@ -88,7 +87,9 @@ class TestDensity:
         with pytest.raises(ValueError):
             IntegrandSpec(p=5.0)
         with pytest.raises(ValueError):
-            IntegrandSpec(p=3.0, form=FORM_QUADRATIC)
+            IntegrandSpec(p=3.0, form="two-phase-quadratic")
+        with pytest.raises(ValueError):
+            IntegrandSpec(p=2.0, form="two-phase-quadratic")
         with pytest.raises(ValueError):
             IntegrandSpec(p=2.0, form=FORM_DEGENERATE)
 

@@ -12,7 +12,6 @@ from homoglab.solver import (
     cell_problem,
     effective_integrand,
     minimize,
-    minimize_coupled,
 )
 
 V2 = IntegrandSpec(p=2.0)
@@ -122,6 +121,16 @@ class TestMinimize:
         with pytest.raises(FloatingPointError):
             minimize(E, method="ncg")
 
+    def test_energy_increase_raises(self):
+        # a negative preconditioner turns the search direction uphill and the
+        # value grows more slowly than the reported gradient says, so the
+        # line search accepts a step that increases the energy
+        def fun(x):
+            return 1e-5 * float(x.sum()), np.ones_like(x)
+
+        with pytest.raises(FloatingPointError):
+            solver_mod._ncg(fun, np.zeros(4), 1e-8, 10, precond=-np.ones(4))
+
     def test_tol_validation(self):
         mesh = build_mesh(1, 8)
         E = assemble_energy([unit_realization()], 1.0, mesh, V2)
@@ -140,14 +149,19 @@ class TestCoupled:
     def test_delta_zero_decouples(self):
         reals = [sample_realization(CB1, i) for i in range(4)]
         mesh = build_mesh(1, 64)
-        res_c = minimize_coupled(reals, 1 / 8, mesh, V2, load=1.0, delta=0.0, tol=1e-11)
+        res_c = minimize(
+            assemble_energy(reals, 1 / 8, mesh, V2, load=1.0, delta=0.0, coupled=False), tol=1e-11
+        )
         res_d = minimize(assemble_energy(reals, 1 / 8, mesh, V2, load=1.0), tol=1e-11)
         assert abs(res_c.energy - res_d.energy) <= 1e-8
 
     def test_identical_realizations_replicate_single(self):
         r = sample_realization(CB1, 0)
         mesh = build_mesh(1, 64)
-        res = minimize_coupled([r, r, r], 1 / 8, mesh, V2, load=1.0, delta=0.5, tol=1e-10)
+        res = minimize(
+            assemble_energy([r, r, r], 1 / 8, mesh, V2, load=1.0, delta=0.5, coupled=True),
+            tol=1e-10,
+        )
         single = minimize(assemble_energy([r], 1 / 8, mesh, V2, load=1.0), tol=1e-12)
         assert res.energy == pytest.approx(single.energy, abs=1e-8)
         for f in res.fields:
@@ -158,7 +172,8 @@ class TestCoupled:
         mesh = build_mesh(1, 32)
         prev = None
         for delta in (1.0, 10.0, 1000.0):
-            res = minimize_coupled(reals, 1 / 8, mesh, V2, load=1.0, delta=delta, tol=1e-6)
+            E = assemble_energy(reals, 1 / 8, mesh, V2, load=1.0, delta=delta, coupled=True)
+            res = minimize(E, tol=1e-6)
             gbar = res.mean_field.gradients()
             dev = max(
                 np.sqrt(np.dot(mesh.volumes, ((f.gradients() - gbar) ** 2).sum(axis=1)))
@@ -170,7 +185,9 @@ class TestCoupled:
     def test_requires_two_realizations(self):
         mesh = build_mesh(1, 16)
         with pytest.raises(ValueError):
-            minimize_coupled([unit_realization()], 1.0, mesh, V2, load=1.0, delta=0.1)
+            minimize(
+                assemble_energy([unit_realization()], 1.0, mesh, V2, load=1.0, delta=0.1, coupled=True)
+            )
 
 
 class TestCellProblem:
