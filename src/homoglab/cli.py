@@ -1,7 +1,9 @@
 """Command-line entry point.
 
-    homoglab <sweep|diagram|nonergodic|quenched-vs-mean|cell|solve|pair|young>
+    homoglab <sweep|diagram|nonergodic|quenched-vs-mean|cell|solve>
              --config <path> [--out <dir>] [--threads k] [--force]
+
+The subcommand sets the study kind, replacing any `[study] kind` in the file.
 
 Exit codes: 0 success, 1 validation error, 2 solver non-convergence or
 failure, or diagram paths that disagree beyond tol_diagram, 3 I/O error.
@@ -35,14 +37,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, kind=args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 3
-    cfg.kind = args.command
     out_dir = args.out or cfg.out_dir
     try:
         report = run_study(cfg, threads=max(1, args.threads), force=args.force)

@@ -19,7 +19,7 @@ from .medium import DiscreteValues, EnsembleSpec, UniformValues
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "parse_config"]
 
-STUDY_KINDS = ("sweep", "diagram", "nonergodic", "quenched-vs-mean", "cell", "solve", "pair", "young")
+STUDY_KINDS = ("sweep", "diagram", "nonergodic", "quenched-vs-mean", "cell", "solve")
 
 
 class ConfigError(ValueError):
@@ -102,7 +102,7 @@ _DEFAULTS = {
 
 # per-study clustering defaults: empirical minimizer clusters carry Monte
 # Carlo spread, exact limit clusters are tight
-_LINKAGE_DEFAULTS = {"nonergodic": "0.02", "quenched-vs-mean": "0.05", "young": "0.02"}
+_LINKAGE_DEFAULTS = {"nonergodic": "0.02", "quenched-vs-mean": "0.05"}
 
 
 @dataclass
@@ -142,8 +142,12 @@ class ExperimentConfig:
         return max(2, int(round(self.h_over_eps / eps)))
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a configuration document."""
+def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
+    """Parse and validate a configuration document.
+
+    A given kind (the CLI subcommand) replaces a valid `[study] kind`, so
+    defaults, validation and the resolved echo all follow the study that runs.
+    """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     cp.optionxform = str  # keep key case: L and F are meaningful
     try:
@@ -162,9 +166,11 @@ def parse_config(text: str) -> ExperimentConfig:
             return cp.get(sec, key).strip()
         return _DEFAULTS[sec][key]
 
-    kind = get("study", "kind")
-    if kind not in STUDY_KINDS:
-        raise ConfigError(f"unknown study kind {kind!r}")
+    file_kind = get("study", "kind")
+    kind = kind or file_kind
+    for k in (file_kind, kind):
+        if k not in STUDY_KINDS:
+            raise ConfigError(f"unknown study kind {k!r}")
 
     try:
         d = int(get("ensemble", "dimension"))
@@ -217,6 +223,14 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError("eps must be positive and delta nonnegative")
         if any(L < 1 for L in L_list):
             raise ConfigError("L must be >= 1")
+        if ensemble.period is not None and kind in ("sweep", "diagram", "cell"):
+            # sweep and diagram solve their cell problems on max(L), cell on every L
+            cell_L = L_list if kind == "cell" else (max(L_list),)
+            if any(L != ensemble.period for L in cell_L):
+                raise ConfigError(
+                    f"ensemble period {ensemble.period} conflicts with cell size L = "
+                    + ", ".join(str(L) for L in cell_L)
+                )
         n_real = int(get("study", "n_realizations"))
         if n_real < 1:
             raise ConfigError("n_realizations must be >= 1")
@@ -276,6 +290,7 @@ def _resolved_text(cp: configparser.ConfigParser, cfg: ExperimentConfig) -> str:
                 out[sec][key] = cp.get(sec, key)
             else:
                 out[sec][key] = default
+    out["study"]["kind"] = cfg.kind
     if not cp.has_option("study", "linkage_tol"):
         out["study"]["linkage_tol"] = repr(cfg.linkage_tol)
     if not cp.has_option("solver", "tol"):
@@ -287,6 +302,6 @@ def _resolved_text(cp: configparser.ConfigParser, cfg: ExperimentConfig) -> str:
     return buf.getvalue()
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, kind: str | None = None) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), kind)

@@ -6,7 +6,7 @@ Four studies:
   nonergodic       per-realization limits of a periodized ensemble + clusters
   quenched-vs-mean per-realization pairing trajectories vs the mean and limit
 
-plus the operation commands cell / solve / pair / young.  Independent
+plus the operation commands cell / solve.  Independent
 (eps, seed) tasks run across a process pool; every aggregation is an ordered
 reduction over the task list, so outputs are byte-identical for any worker
 count.
@@ -57,8 +57,6 @@ __all__ = [
     "run_quenched_vs_mean",
     "run_cell_table",
     "run_solve",
-    "run_pairings",
-    "run_young",
     "emit_plots",
     "write_outputs",
 ]
@@ -506,10 +504,8 @@ def run_nonergodic_study(cfg: ExperimentConfig, threads: int = 1, force: bool = 
                 ["nonergodic", f"eps={res['eps']:g},seed={res['seed']}", res["wall_ms"]]
             )
             rep.any_nonconverged |= not res["converged"]
-        ym = empirical_young_measure(trajectories, cfg.linkage_tol)
-    else:
-        ym = empirical_young_measure({k: [v] for k, v in limits.items()}, cfg.linkage_tol)
     ym_limit = empirical_young_measure({k: [v] for k, v in limits.items()}, cfg.linkage_tol)
+    ym = empirical_young_measure(trajectories, cfg.linkage_tol) if cfg.eps_list else ym_limit
     for ci, cluster in enumerate(ym.clusters):
         for j, val in enumerate(cluster.barycenter.values):
             rep.young_rows.append([ci, cluster.weight, cluster.diameter, j + 1, val])
@@ -740,23 +736,6 @@ def run_solve(cfg: ExperimentConfig, threads: int = 1, force: bool = False) -> S
     return rep
 
 
-def run_pairings(cfg: ExperimentConfig, threads: int = 1, force: bool = False) -> StudyReport:
-    """Quenched pairings of minimizers, one CSV row per dictionary entry."""
-    rep = run_quenched_vs_mean(cfg, threads=threads, force=force)
-    rep.kind = "pair"
-    return rep
-
-
-def run_young(cfg: ExperimentConfig, threads: int = 1, force: bool = False) -> StudyReport:
-    """Young-measure clustering of pairing trajectories."""
-    if cfg.ensemble.period is not None:
-        rep = run_nonergodic_study(cfg, threads=threads, force=force)
-    else:
-        rep = run_quenched_vs_mean(cfg, threads=threads, force=force)
-    rep.kind = "young"
-    return rep
-
-
 _RUNNERS = {
     "sweep": run_homogenization_sweep,
     "diagram": run_regularization_diagram,
@@ -764,8 +743,6 @@ _RUNNERS = {
     "quenched-vs-mean": run_quenched_vs_mean,
     "cell": run_cell_table,
     "solve": run_solve,
-    "pair": run_pairings,
-    "young": run_young,
 }
 
 
@@ -791,8 +768,6 @@ def emit_plots(rep: StudyReport, out_dir: str, provenance: str) -> list[str]:
         "diagram": "energy alignment",
         "nonergodic": "metric distance",
         "quenched-vs-mean": "metric distance",
-        "pair": "metric distance",
-        "young": "metric distance",
         "cell": "effective value",
     }.get(rep.kind, "value")
     xlabel = "L" if rep.kind == "cell" else "eps"

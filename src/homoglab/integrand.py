@@ -79,10 +79,6 @@ def combined_weight(spec: IntegrandSpec, r: Realization, x: np.ndarray) -> np.nd
     return w
 
 
-def _norms(F: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(np.atleast_2d(F) if F.ndim == 1 else F, axis=-1)
-
-
 def evaluate_density(
     spec: IntegrandSpec, r: Realization, x: np.ndarray, F: np.ndarray
 ) -> np.ndarray | float:

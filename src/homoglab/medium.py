@@ -91,10 +91,6 @@ class DiscreteValues:
     def mean(self) -> float:
         return float(np.dot(self.values, self.probs))
 
-    def var(self) -> float:
-        m = self.mean()
-        return float(np.dot((np.asarray(self.values) - m) ** 2, self.probs))
-
     def abs_moment(self, q: float) -> float:
         return float(np.dot(np.abs(self.values) ** q, self.probs))
 
@@ -119,9 +115,6 @@ class UniformValues:
 
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
-
-    def var(self) -> float:
-        return (self.hi - self.lo) ** 2 / 12.0
 
     def abs_moment(self, q: float) -> float:
         lo, hi = self.lo, self.hi

@@ -84,7 +84,6 @@ def assemble_energy(
     load: Load = None,
     delta: float = 0.0,
     coupled: bool | None = None,
-    weights: Sequence[float] | None = None,
 ) -> EnergyFunctional:
     """Build the sample-averaged oscillatory energy on the given mesh.
 
@@ -104,12 +103,6 @@ def assemble_energy(
         raise ValueError("variance coupling needs at least 2 realizations")
     if mesh.h > eps / 4 + 1e-12:
         warnings.warn(f"mesh h={mesh.h:g} does not resolve eps={eps:g} (want h <= eps/4)")
-    if weights is None:
-        w = np.full(len(realizations), 1.0 / len(realizations))
-    else:
-        w = np.asarray(weights, dtype=float)
-        if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be positive and sum to 1")
     bary = mesh.barycenters
     coef = np.stack([combined_weight(integrand, r, bary / eps) for r in realizations])
     if load is None:
@@ -120,7 +113,7 @@ def assemble_energy(
         f_e = np.full(mesh.n_elements, float(load))
     return EnergyFunctional(
         realizations=realizations,
-        weights=w,
+        weights=np.full(len(realizations), 1.0 / len(realizations)),
         eps=eps,
         mesh=mesh,
         integrand=integrand,
@@ -158,6 +151,7 @@ class _Objective:
         self.constraint = Constraint(E.mesh, E.constraint)
         self.N = E.n_realizations
         self.G = E.mesh.gradient_matrix()
+        self.GT = self.G.T.tocsr()
         self.M = E.mesh.barycenter_matrix()
         self.vol = E.mesh.volumes
         self.d = E.mesh.dimension
@@ -166,34 +160,31 @@ class _Objective:
         self.load_red = self.constraint.reduce_adjoint(self.M.T @ (self.vol * E.load_values))
         self.n_dofs = self.constraint.n_dofs
 
+    def stiffness(self, w: np.ndarray) -> sp.spmatrix:
+        """Reduced P1 stiffness matrix of the element weights w (one per element)."""
+        B, G = self.constraint.matrix, self.G
+        return B.T @ (G.T @ sp.diags(np.repeat(self.vol * w, self.d)) @ G) @ B
+
     def precond_diag(self) -> np.ndarray:
         """Diagonal of the p=2-type Hessian surrogate for the stacked system."""
         E = self.E
-        B, G, vol = self.constraint.matrix, self.G, self.vol
         pen = 0.0
         if E.delta > 0:
             pen = 2.0 * E.delta * (1.0 - 1.0 / self.N if E.penalty == "variance" else 1.0)
         out = np.empty((self.N, self.n_dofs))
         for i in range(self.N):
-            w = np.repeat(vol * (E.coef[i] + pen), self.d)
-            K = B.T @ (G.T @ sp.diags(w) @ G) @ B
-            out[i] = E.weights[i] * E.scale * K.diagonal()
+            out[i] = E.weights[i] * E.scale * self.stiffness(E.coef[i] + pen).diagonal()
         flat = out.ravel()
         return np.where(flat > 0, flat, 1.0)
 
     def unpack(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(self.N, self.n_dofs)
 
-    def field_gradients(self, Z: np.ndarray) -> np.ndarray:
-        """(N, n_elem, d) element gradients of the fields (no offset)."""
-        U = (self.constraint.matrix @ Z.T).T
-        return (self.G @ U.T).T.reshape(self.N, self.mesh.n_elements, self.d)
-
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         E = self.E
         p = self.p
-        Z = self.unpack(x)
-        graw = self.field_gradients(Z)
+        U = self.constraint.matrix @ self.unpack(x).T  # (n_nodes, N) nodal fields
+        graw = (self.G @ U).T.reshape(self.N, self.mesh.n_elements, self.d)
         g = graw if E.gradient_offset is None else graw + E.gradient_offset[None]
         norms = np.linalg.norm(g, axis=-1)
         dens = (E.coef / p) * norms**p
@@ -224,12 +215,9 @@ class _Objective:
                 dV = dV + E.delta * s[..., None] * graw
         # chain rule back to reduced dofs
         flat = (self.vol[None, :, None] * dV).reshape(self.N, -1)
-        grad = np.empty((self.N, self.n_dofs))
-        GT = self.G.T
-        for i in range(self.N):
-            grad[i] = E.weights[i] * self.constraint.reduce_adjoint(GT @ flat[i])
+        grad = E.weights[:, None] * self.constraint.reduce_adjoint(self.GT @ flat.T).T
         # load
-        ubar = (self.M @ (self.constraint.matrix @ Z.T)).T
+        ubar = (self.M @ U).T
         value -= float(np.dot(E.weights, ubar @ (self.vol * E.load_values)))
         grad -= np.outer(E.weights, self.load_red)
         value *= E.scale
@@ -343,19 +331,16 @@ def _ncg(fun, x0: np.ndarray, tol: float, max_iter: int, precond: np.ndarray | N
 def _linear_spd_solve(obj: _Objective, tol: float, max_iter: int):
     """p = 2, no coupling: solve each realization's SPD system by PCG."""
     E = obj.E
-    G, vol = obj.G, obj.vol
     extra = 2.0 * E.delta if (E.delta > 0 and E.penalty == "corrector") else 0.0
     Z = np.empty((obj.N, obj.n_dofs))
     iters = 0
     ok = True
-    B = obj.constraint.matrix
     for i in range(obj.N):
-        w = np.repeat(vol * (E.coef[i] + extra), obj.d)
-        K = (B.T @ (G.T @ sp.diags(w) @ G) @ B).tocsr()
+        K = obj.stiffness(E.coef[i] + extra).tocsr()
         b = obj.load_red.copy()
         if E.gradient_offset is not None:
-            flat = (vol[:, None] * E.coef[i][:, None] * E.gradient_offset).ravel()
-            b = b - obj.constraint.reduce_adjoint(G.T @ flat)
+            flat = (obj.vol[:, None] * E.coef[i][:, None] * E.gradient_offset).ravel()
+            b = b - obj.constraint.reduce_adjoint(obj.GT @ flat)
         z, it, _, conv = _pcg(K, b, tol, max_iter)
         Z[i] = z
         iters += it
@@ -364,15 +349,29 @@ def _linear_spd_solve(obj: _Objective, tol: float, max_iter: int):
     return Z.ravel(), f, iters, float(np.linalg.norm(g)), ok
 
 
-def _result_from_solution(obj: _Objective, x: np.ndarray, f, iters, gnorm, conv, t0, method):
-    E = obj.E
-    Z = obj.unpack(x)
-    fields = []
-    for i in range(obj.N):
-        z = obj.constraint.normalize(Z[i])
-        fields.append(
-            DiscreteField(mesh=E.mesh, values=obj.constraint.expand(z), constraint=E.constraint)
+def _solve(
+    E: EnergyFunctional, tol: float, max_iter: int, method: str | None = None
+) -> MinimizeResult:
+    """Minimize E by linear CG (uncoupled p = 2) or nonlinear CG; see `minimize`."""
+    t0 = time.perf_counter()
+    obj = _Objective(E)
+    linear_ok = E.integrand.p == 2.0 and not (E.coupled and E.delta > 0)
+    if method is None:
+        method = "cg" if linear_ok else "ncg"
+    if method == "cg":
+        if not linear_ok:
+            raise ValueError("linear path needs p = 2 and no variance coupling")
+        x, f, iters, gnorm, conv = _linear_spd_solve(obj, tol, max_iter)
+    else:
+        method = "ncg"
+        x0 = np.zeros(obj.N * obj.n_dofs)
+        x, f, iters, gnorm, conv = _ncg(
+            obj.value_and_grad, x0, tol, max_iter, precond=obj.precond_diag()
         )
+    fields = []
+    for z in obj.unpack(x):
+        values = obj.constraint.expand(obj.constraint.normalize(z))
+        fields.append(DiscreteField(mesh=E.mesh, values=values, constraint=E.constraint))
     mean_field = None
     if obj.N > 1:
         mv = np.tensordot(E.weights, np.stack([fl.values for fl in fields]), axes=(0, 0))
@@ -400,21 +399,7 @@ def minimize(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    t0 = time.perf_counter()
-    obj = _Objective(E)
-    linear_ok = E.integrand.p == 2.0 and not (E.coupled and E.delta > 0)
-    if method is None:
-        method = "cg" if linear_ok else "ncg"
-    if method == "cg":
-        if not linear_ok:
-            raise ValueError("linear path needs p = 2 and no variance coupling")
-        x, f, iters, gnorm, conv = _linear_spd_solve(obj, tol, max_iter)
-        return _result_from_solution(obj, x, f, iters, gnorm, conv, t0, "cg")
-    x0 = np.zeros(obj.N * obj.n_dofs)
-    x, f, iters, gnorm, conv = _ncg(
-        obj.value_and_grad, x0, tol, max_iter, precond=obj.precond_diag()
-    )
-    return _result_from_solution(obj, x, f, iters, gnorm, conv, t0, "ncg")
+    return _solve(E, tol, max_iter, method)
 
 
 @dataclass
@@ -473,21 +458,13 @@ def cell_problem(
         penalty="corrector",
         scale=1.0 / float(L) ** d,
     )
-    obj = _Objective(E)
-    if integrand.p == 2.0:
-        x, f, iters, gnorm, conv = _linear_spd_solve(obj, tol, max_iter)
-    else:
-        x0 = np.zeros(obj.N * obj.n_dofs)
-        x, f, iters, gnorm, conv = _ncg(
-            obj.value_and_grad, x0, tol, max_iter, precond=obj.precond_diag()
-        )
-    res = _result_from_solution(obj, x, f, iters, gnorm, conv, t0, "cell")
+    res = _solve(E, tol, max_iter)
     return CellResult(
         value=res.energy,
         corrector=res.fields[0],
         iterations=res.iterations,
         grad_norm=res.grad_norm,
-        wall_ms=res.wall_ms,
+        wall_ms=(time.perf_counter() - t0) * 1e3,
         converged=res.converged,
     )
 
@@ -517,7 +494,6 @@ def effective_integrand(
     n_samples: int = 8,
     n_per_cell: int = 8,
     tol: float = 1e-9,
-    first_index: int = 0,
 ) -> list[EffectiveValue]:
     """Tabulate cell-problem values over an F grid, averaged over realizations."""
     if n_samples < 1:
@@ -529,7 +505,7 @@ def effective_integrand(
         gmax = 0.0
         wall = 0.0
         for s in range(n_samples):
-            r = sample_realization(ensemble, first_index + s)
+            r = sample_realization(ensemble, s)
             if r.period is not None and r.period != L:
                 raise ValueError("ensemble period conflicts with requested L")
             res = cell_problem(r, L, integrand, F, delta=delta, n_per_cell=n_per_cell, tol=tol)

@@ -290,7 +290,6 @@ def sample_correctors(
     n_per_cell: int = 8,
     delta: float = 0.0,
     tol: float = 1e-9,
-    first_index: int = 0,
 ) -> list[CorrectorSet]:
     """Solve unit-direction cell problems for n_samples realizations."""
     from .medium import periodize, sample_realization
@@ -299,7 +298,7 @@ def sample_correctors(
     out = []
     d = ensemble.dimension
     for s in range(n_samples):
-        r = sample_realization(ensemble, first_index + s)
+        r = sample_realization(ensemble, s)
         grads = []
         mesh = None
         for c in range(d):

@@ -106,6 +106,9 @@ class TestValidation:
             "[study]\nn_realizations = 0\n",
             "[study]\nL = 0\n",
             "[study]\nkind = solve\neps =\n",
+            "[study]\nkind = pair\n",
+            "[study]\nkind = young\n",
+            "[ensemble]\nperiod = 4\n\n[study]\nL = 8, 4\n",
             "[solver]\nrve_bc = dirichlet\n",
             "[integrand]\nform = degenerate-weighted\n",
             "[ensemble]\ndimension = 2\n\n[study]\nF = 1\n",

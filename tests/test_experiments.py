@@ -409,10 +409,10 @@ class TestOutputsAndCLI:
         cfgp = tmp_path / "noe.ini"
         cfgp.write_text(
             "[ensemble]\nvalues = 1, 4\nprobs = 0.5, 0.5\nperiod = 1\nseed = 21\n"
-            "\n[study]\nkind = young\neps = 1/16, 1/32\nL = 1\nn_realizations = 8\n"
+            "\n[study]\nkind = nonergodic\neps = 1/16, 1/32\nL = 1\nn_realizations = 8\n"
         )
         out = tmp_path / "young"
-        assert cli_main(["young", "--config", str(cfgp), "--out", str(out)]) == 0
+        assert cli_main(["nonergodic", "--config", str(cfgp), "--out", str(out)]) == 0
         rows = read_rows(out / "young.csv")
         assert rows[0] == ["cluster", "weight", "diameter", "entry_j", "barycenter_value"]
         clusters = {r[0] for r in rows[1:]}
@@ -422,14 +422,34 @@ class TestOutputsAndCLI:
         cfgp = tmp_path / "pair.ini"
         cfgp.write_text(
             "[ensemble]\nvalues = 1, 4\nprobs = 0.5, 0.5\nseed = 21\n"
-            "\n[study]\nkind = pair\neps = 1/8, 1/16\nL = 16\nn_realizations = 2\n"
+            "\n[study]\nkind = quenched-vs-mean\neps = 1/8, 1/16\nL = 16\nn_realizations = 2\n"
             "\n[dictionary]\nmax_entries = 8\n"
         )
         out = tmp_path / "pair"
-        assert cli_main(["pair", "--config", str(cfgp), "--out", str(out)]) == 0
+        assert cli_main(["quenched-vs-mean", "--config", str(cfgp), "--out", str(out)]) == 0
         rows = read_rows(out / "pairings.csv")
         assert rows[0] == ["seed", "eps", "j", "phi_id", "value"]
         assert len(rows) > 10
+
+    def test_subcommand_sets_kind_before_defaults(self, tmp_path):
+        # the study-kind defaults (linkage_tol) follow the subcommand, not "sweep"
+        cfgp = tmp_path / "nokind.ini"
+        cfgp.write_text(
+            "[ensemble]\nvalues = 1, 4\nprobs = 0.5, 0.5\nseed = 21\n"
+            "\n[study]\neps = 1/8\nL = 2\nn_realizations = 2\n"
+            "\n[dictionary]\nmax_entries = 4\n"
+        )
+        out = tmp_path / "qvm"
+        assert cli_main(["quenched-vs-mean", "--config", str(cfgp), "--out", str(out)]) == 0
+        resolved = (out / "config.resolved").read_text()
+        assert "kind = quenched-vs-mean\n" in resolved
+        assert "linkage_tol = 0.05\n" in resolved
+
+    def test_period_conflicting_with_L_is_a_config_error(self, tmp_path, capsys):
+        cfgp = tmp_path / "conflict.ini"
+        cfgp.write_text("[ensemble]\nperiod = 4\n\n[study]\nkind = cell\nL = 8\n")
+        assert cli_main(["cell", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 1
+        assert "config error:" in capsys.readouterr().err
 
 
 class TestSpecExamples2D:
