@@ -6,9 +6,11 @@ on the deviation of each realization's gradient from the empirical mean
 gradient), and the periodic cell problems that produce effective integrand
 values and correctors on representative volumes.
 
-p = 2 uncoupled problems go through a diagonally preconditioned conjugate
-gradient on the assembled SPD system; everything else is minimized by
-Polak-Ribiere nonlinear CG with Armijo backtracking on the reduced
+p = 2 uncoupled problems go through conjugate gradients on the assembled SPD
+system, preconditioned by the exact inverse of the unit-coefficient
+stiffness (a DST-I solve for zero trace, an FFT solve on the torus), so the
+iteration count does not grow with the mesh; everything else is minimized
+by Polak-Ribiere nonlinear CG with Armijo backtracking on the reduced
 (constrained) variables.
 """
 
@@ -227,16 +229,79 @@ class _Objective:
         return value, grad.ravel()
 
 
-def _pcg(A: sp.csr_matrix, b: np.ndarray, tol: float, max_iter: int):
-    """Conjugate gradients with Jacobi preconditioning, relative residual stop."""
+def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
+    """Unnormalized DST-I along one axis: y_k = sum_j x_j sin(pi j k / (m + 1))."""
+    x = np.moveaxis(x, axis, -1)
+    m = x.shape[-1]
+    zero = np.zeros(x.shape[:-1] + (1,))
+    odd = np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1)
+    y = -0.5 * np.fft.rfft(odd, axis=-1).imag[..., 1 : m + 1]
+    return np.moveaxis(y, -1, axis)
+
+
+def _laplacian_inverse(mesh: Mesh, kind: str) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact inverse of the unit-coefficient reduced stiffness of `mesh`.
+
+    On the uniform box the P1 stiffness of the unit weight is h^(d-2) times
+    the 3-point (1D) or 5-point (2D) stencil.  Zero trace diagonalizes it by
+    DST-I on the (n-1)^d interior grid, eigenvalues
+    sum_axes (2 - 2 cos(pi j / n)); the torus by the FFT on the n^d grid,
+    eigenvalues sum_axes (2 - 2 cos(2 pi j / n)), with the constant mode
+    (the kernel) sent to 0.
+    """
+    n, d = mesh.n, mesh.dimension
+    scale = mesh.h ** (d - 2)
+    if kind == DIRICHLET_ZERO:
+        shape = (n - 1,) * d
+        lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n) / n)
+        eig = scale * sum(np.ix_(*([lam] * d)))
+        # DST-I squared is (n/2) times the identity along each axis
+        inv = (2.0 / n) ** d / eig
+
+        def apply(r: np.ndarray) -> np.ndarray:
+            y = r.reshape(shape)
+            for ax in range(d):
+                y = _dst1(y, ax)
+            y = y * inv
+            for ax in range(d):
+                y = _dst1(y, ax)
+            return y.ravel()
+
+        return apply
+    shape = (n,) * d
+    axes = tuple(range(d))
+    lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    grids = [lam] * (d - 1) + [lam[: n // 2 + 1]]  # rfftn halves the last axis
+    eig = scale * sum(np.ix_(*grids))
+    inv = np.zeros_like(eig)
+    np.divide(1.0, eig, out=inv, where=eig > 0)
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        y = np.fft.rfftn(r.reshape(shape), axes=axes) * inv
+        return np.fft.irfftn(y, s=shape, axes=axes).ravel()
+
+    return apply
+
+
+def _pcg(
+    A: sp.csr_matrix,
+    b: np.ndarray,
+    tol: float,
+    max_iter: int,
+    precond: Callable[[np.ndarray], np.ndarray],
+):
+    """Preconditioned conjugate gradients, relative residual stop.
+
+    `precond` applies an SPD approximation of A^-1 (on the torus, of its
+    pseudo-inverse on mean-zero vectors); `_linear_spd_solve` passes the
+    unit-coefficient inverse of `_laplacian_inverse`.
+    """
     bnorm = float(np.linalg.norm(b))
     x = np.zeros_like(b)
     if bnorm == 0.0:
         return x, 0, 0.0, True
-    diag = A.diagonal()
-    dinv = np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 1.0)
     r = b.copy()
-    z = dinv * r
+    z = precond(r)
     pvec = z.copy()
     rz = float(r @ z)
     it = 0
@@ -248,7 +313,7 @@ def _pcg(A: sp.csr_matrix, b: np.ndarray, tol: float, max_iter: int):
         it += 1
         if np.linalg.norm(r) <= tol * bnorm:
             return x, it, float(np.linalg.norm(r)), True
-        z = dinv * r
+        z = precond(r)
         rz_new = float(r @ z)
         pvec = z + (rz_new / rz) * pvec
         rz = rz_new
@@ -329,10 +394,11 @@ def _ncg(fun, x0: np.ndarray, tol: float, max_iter: int, precond: np.ndarray | N
 
 
 def _linear_spd_solve(obj: _Objective, tol: float, max_iter: int):
-    """p = 2, no coupling: solve each realization's SPD system by PCG."""
+    """p = 2, no coupling: solve each realization's SPD system by spectral PCG."""
     E = obj.E
     extra = 2.0 * E.delta if (E.delta > 0 and E.penalty == "corrector") else 0.0
     Z = np.empty((obj.N, obj.n_dofs))
+    precond = _laplacian_inverse(obj.mesh, E.constraint)
     iters = 0
     ok = True
     for i in range(obj.N):
@@ -341,7 +407,7 @@ def _linear_spd_solve(obj: _Objective, tol: float, max_iter: int):
         if E.gradient_offset is not None:
             flat = (obj.vol[:, None] * E.coef[i][:, None] * E.gradient_offset).ravel()
             b = b - obj.constraint.reduce_adjoint(obj.GT @ flat)
-        z, it, _, conv = _pcg(K, b, tol, max_iter)
+        z, it, _, conv = _pcg(K, b, tol, max_iter, precond)
         Z[i] = z
         iters += it
         ok = ok and conv
@@ -363,7 +429,6 @@ def _solve(
             raise ValueError("linear path needs p = 2 and no variance coupling")
         x, f, iters, gnorm, conv = _linear_spd_solve(obj, tol, max_iter)
     else:
-        method = "ncg"
         x0 = np.zeros(obj.N * obj.n_dofs)
         x, f, iters, gnorm, conv = _ncg(
             obj.value_and_grad, x0, tol, max_iter, precond=obj.precond_diag()
@@ -395,10 +460,12 @@ def minimize(
 
     method None picks linear CG for uncoupled p = 2 problems and nonlinear CG
     otherwise; pass "ncg" to force the nonlinear path (used for the
-    self-consistency oracle).
+    self-consistency oracle).  Any other method raises ValueError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if method not in (None, "cg", "ncg"):
+        raise ValueError(f"unknown method {method!r}; use None, 'cg' or 'ncg'")
     return _solve(E, tol, max_iter, method)
 
 

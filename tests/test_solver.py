@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import homoglab.solver as solver_mod
-from homoglab.integrand import FORM_DEGENERATE, IntegrandSpec
+from homoglab.integrand import FORM_DEGENERATE, IntegrandSpec, combined_weight
 from homoglab.medium import DiscreteValues, EnsembleSpec, periodize, sample_realization
 from homoglab.meshing import build_mesh
 from homoglab.solver import (
@@ -130,6 +132,13 @@ class TestMinimize:
 
         with pytest.raises(FloatingPointError):
             solver_mod._ncg(fun, np.zeros(4), 1e-8, 10, precond=-np.ones(4))
+
+    @pytest.mark.parametrize("method", ["pcg", "CG", "newton", ""])
+    def test_unknown_method_rejected(self, method):
+        mesh = build_mesh(1, 16)
+        E = assemble_energy([unit_realization()], 1.0, mesh, V2, load=1.0)
+        with pytest.raises(ValueError, match="unknown method"):
+            minimize(E, method=method)
 
     def test_tol_validation(self):
         mesh = build_mesh(1, 8)
@@ -275,3 +284,103 @@ class TestEffectiveIntegrand:
             t = (F[0] ** 2) / 2.0
             assert row.mean <= rep.c_high * (t + 1.0) + 1e-9
             assert row.mean >= t / rep.c_low - rep.c_low - 1e-9
+
+
+class TestSpectralPCG:
+    """p = 2 linear CG with the unit-coefficient spectral preconditioner."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("kind", ["dirichlet-zero", "periodic-mean-zero"])
+    def test_preconditioner_inverts_unit_stiffness(self, d, kind):
+        mesh = build_mesh(d, 6, size=1.5)
+        E = assemble_energy([unit_realization(d)], 4.0, mesh, V2)
+        E.constraint = kind
+        obj = solver_mod._Objective(E)
+        K = obj.stiffness(np.ones(mesh.n_elements)).toarray()
+        apply = solver_mod._laplacian_inverse(mesh, kind)
+        P = np.stack([apply(e) for e in np.eye(obj.n_dofs)], axis=1)
+        assert np.allclose(P, np.linalg.pinv(K), rtol=0, atol=1e-13 * np.abs(P).max())
+
+    @pytest.mark.parametrize("n", [32, 64, 128, 256])
+    def test_2d_dirichlet_iterations_do_not_grow(self, n):
+        E = assemble_energy([sample_realization(CB2, 0)], 1 / 8, build_mesh(2, n), V2, load=1.0)
+        res = minimize(E)
+        assert res.method == "cg" and res.converged
+        assert res.iterations <= 30
+
+    @pytest.mark.parametrize("n_per_cell", [4, 8, 16])
+    def test_2d_cell_iterations_do_not_grow(self, n_per_cell):
+        res = cell_problem(sample_realization(CB2, 0), 8, V2, [1.0, 0.0], n_per_cell=n_per_cell)
+        assert res.converged and res.iterations <= 30
+
+    def test_1d_iterations(self):
+        E = assemble_energy([sample_realization(CB1, 0)], 1 / 64, build_mesh(1, 512), V2, load=1.0)
+        res = minimize(E)
+        assert res.converged and res.iterations <= 5
+        cell = cell_problem(sample_realization(CB1, 0), 64, V2, [1.0], n_per_cell=8)
+        assert cell.converged and cell.iterations <= 5
+
+
+def _barycentric_gradients(mesh):
+    """Gradients of the three barycentric functions of every 2D element,
+    shape (n_elements, 3, 2), and the element areas, from the vertices."""
+    T = np.concatenate([np.ones(mesh.elements.shape + (1,)), mesh.nodes[mesh.elements]], axis=-1)
+    return np.linalg.inv(T)[:, 1:].transpose(0, 2, 1), 0.5 * np.abs(np.linalg.det(T))
+
+
+def _p1_stiffness(mesh, w, dof_of_node, n_dofs):
+    """P1 stiffness sum_e w_e |e| grad(l_i).grad(l_j) on the dofs; nodes
+    whose dof is -1 are dropped (zero trace)."""
+    grads, area = _barycentric_gradients(mesh)
+    local = (w * area)[:, None, None] * grads @ grads.transpose(0, 2, 1)
+    dofs = dof_of_node[mesh.elements]
+    rows = np.broadcast_to(dofs[:, :, None], local.shape)
+    cols = np.broadcast_to(dofs[:, None, :], local.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.csr_matrix((local[keep], (rows[keep], cols[keep])), shape=(n_dofs, n_dofs))
+
+
+class TestDirectOracle:
+    """p = 2 values against a direct sparse solve on a test-assembled stiffness."""
+
+    @pytest.mark.parametrize("high", [4.0, 1e4])
+    def test_dirichlet_energy_matches_spsolve(self, high):
+        spec = EnsembleSpec(dimension=2, cells=DiscreteValues((1.0, high), (0.5, 0.5)), seed=21)
+        mesh = build_mesh(2, 32)
+        E = assemble_energy([sample_realization(spec, 0)], 1 / 8, mesh, V2, load=1.0)
+        res = minimize(E)
+        assert res.converged
+        interior = ~mesh.boundary
+        dof = np.full(mesh.n_nodes, -1)
+        dof[interior] = np.arange(interior.sum())
+        K = _p1_stiffness(mesh, E.coef[0], dof, int(interior.sum()))
+        _, area = _barycentric_gradients(mesh)
+        f = np.zeros(mesh.n_nodes)
+        np.add.at(f, mesh.elements, area[:, None] / 3.0)  # load 1, barycenter quadrature
+        u = spla.spsolve(K.tocsc(), f[interior])
+        exact = -0.5 * float(f[interior] @ u)
+        assert res.energy == pytest.approx(exact, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.3])
+    def test_cell_value_matches_spsolve(self, delta):
+        L, npc = 4, 8
+        F = np.array([1.0, 0.5])
+        r = periodize(sample_realization(CB2, 3), L)
+        res = cell_problem(r, L, V2, F, delta=delta, n_per_cell=npc)
+        assert res.converged
+        n = L * npc
+        mesh = build_mesh(2, n, size=float(L))
+        a = combined_weight(V2, r, mesh.barycenters)
+        ix = np.rint(mesh.nodes[:, 0] / mesh.h).astype(int) % n
+        iy = np.rint(mesh.nodes[:, 1] / mesh.h).astype(int) % n
+        torus = ix + n * iy
+        K = _p1_stiffness(mesh, a + 2.0 * delta, torus, n * n)
+        # linear term sum_e |e| a_e F . grad(l_i), gathered on the torus dofs
+        grads, area = _barycentric_gradients(mesh)
+        b = np.zeros(n * n)
+        np.add.at(b, torus[mesh.elements], (area * a)[:, None] * (grads @ F))
+        # pin dof 0: the energy only sees gradients, so phi(0) = 0 loses nothing
+        phi = spla.spsolve(K[1:, 1:].tocsc(), -b[1:])
+        quad = 0.5 * float(area @ a) * float(F @ F)
+        exact = (quad + 0.5 * float(b[1:] @ phi)) / L**2
+        assert res.value == pytest.approx(exact, rel=1e-10, abs=0)
