@@ -234,6 +234,8 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
         n_real = int(get("study", "n_realizations"))
         if n_real < 1:
             raise ConfigError("n_realizations must be >= 1")
+        if kind == "diagram" and n_real < 2 and any(dl > 0 for dl in delta_list):
+            raise ConfigError("a positive delta couples realizations: need n_realizations >= 2")
         F_txt = get("study", "F")
         if F_txt:
             F_grid = tuple(tuple(_num_list(part)) for part in F_txt.split(";") if part.strip())

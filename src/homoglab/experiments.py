@@ -9,7 +9,7 @@ Four studies:
 plus the operation commands cell / solve.  Independent
 (eps, seed) tasks run across a process pool; every aggregation is an ordered
 reduction over the task list, so outputs are byte-identical for any worker
-count.
+count at a fixed BLAS thread count.
 """
 
 from __future__ import annotations

@@ -4,21 +4,30 @@ d = 1: intervals; d = 2: squares split along the main diagonal into two
 triangles.  Gradients are piecewise constant; quadrature is one point per
 element (the barycenter).  Two constraint kinds are supported: zero trace on
 the boundary, and periodic identification of opposite faces with zero nodal
-mean (the corrector space of the cell problems).
+mean (the corrector space of the cell problems).  Operators are stencils on
+the nodal grid: node id ix + (n+1) iy is its row-major [iy, ix] entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = ["Mesh", "DiscreteField", "build_mesh", "DIRICHLET_ZERO", "PERIODIC_MEAN_ZERO"]
 
 DIRICHLET_ZERO = "dirichlet-zero"
 PERIODIC_MEAN_ZERO = "periodic-mean-zero"
+
+# 2D gradient component `axis` of element `tri` (0 lower, 1 upper) is the
+# difference along its leg, indexed among x-edges (n+1, n) or y-edges (n, n+1)
+_LEGS = (
+    (0, 0, np.s_[..., :-1, :]),  # v00-v10
+    (0, 1, np.s_[..., 1:]),  # v10-v11
+    (1, 0, np.s_[..., 1:, :]),  # v01-v11
+    (1, 1, np.s_[..., :-1]),  # v00-v01
+)
 
 
 @dataclass
@@ -31,8 +40,6 @@ class Mesh:
     volumes: np.ndarray
     barycenters: np.ndarray
     boundary: np.ndarray
-    _grad: sp.csr_matrix | None = field(default=None, repr=False)
-    _bary: sp.csr_matrix | None = field(default=None, repr=False)
 
     @property
     def h(self) -> float:
@@ -46,25 +53,17 @@ class Mesh:
     def n_elements(self) -> int:
         return self.elements.shape[0]
 
-    def gradient_matrix(self) -> sp.csr_matrix:
-        """Sparse map nodal values -> stacked element gradients (e*d + axis)."""
-        if self._grad is None:
-            self._grad = _gradient_matrix(self)
-        return self._grad
-
-    def barycenter_matrix(self) -> sp.csr_matrix:
-        """Sparse map nodal values -> values at element barycenters."""
-        if self._bary is None:
-            ne, nv = self.n_elements, self.elements.shape[1]
-            rows = np.repeat(np.arange(ne), nv)
-            cols = self.elements.ravel()
-            vals = np.full(ne * nv, 1.0 / nv)
-            self._bary = sp.csr_matrix((vals, (rows, cols)), shape=(ne, self.n_nodes))
-        return self._bary
-
     def element_gradients(self, values: np.ndarray) -> np.ndarray:
-        """Per-element gradient of the P1 field, shape (n_elements, d)."""
-        return (self.gradient_matrix() @ values).reshape(self.n_elements, self.dimension)
+        """Per-element gradients of P1 fields, (..., n_nodes) -> (..., n_elements, d)."""
+        lead = values.shape[:-1]
+        if self.dimension == 1:
+            return (np.diff(values, axis=-1) / self.h)[..., None]
+        u = values.reshape(lead + (self.n + 1, self.n + 1))
+        diffs = [np.diff(u, axis=-1) / self.h, np.diff(u, axis=-2) / self.h]
+        g = np.empty(lead + (self.n, self.n, 2, 2))
+        for tri, a, leg in _LEGS:
+            g[..., tri, a] = diffs[a][leg]
+        return g.reshape(lead + (self.n_elements, 2))
 
 
 def build_mesh(dimension: int, n: int, size: float = 1.0) -> Mesh:
@@ -78,24 +77,16 @@ def build_mesh(dimension: int, n: int, size: float = 1.0) -> Mesh:
         nodes = (np.arange(n + 1) * h)[:, None]
         elements = np.stack([np.arange(n), np.arange(n) + 1], axis=1)
         volumes = np.full(n, h)
-        boundary = np.zeros(n + 1, dtype=bool)
-        boundary[[0, -1]] = True
+        boundary = np.arange(n + 1) % n == 0
     else:
-        # node id = ix + (n+1) * iy
-        ix_n = np.tile(np.arange(n + 1), n + 1)
-        iy_n = np.repeat(np.arange(n + 1), n + 1)
+        iy_n, ix_n = np.divmod(np.arange((n + 1) ** 2), n + 1)
         nodes = np.stack([ix_n * h, iy_n * h], axis=1)
-        ix = np.tile(np.arange(n), n)
-        iy = np.repeat(np.arange(n), n)
-        v00 = ix + (n + 1) * iy
-        v10 = v00 + 1
-        v01 = v00 + (n + 1)
-        v11 = v01 + 1
-        elements = np.empty((2 * n * n, 3), dtype=np.int64)
-        elements[0::2] = np.stack([v00, v10, v11], axis=1)
-        elements[1::2] = np.stack([v00, v11, v01], axis=1)
+        v00 = (np.arange(n) + (n + 1) * np.arange(n)[:, None]).ravel()
+        v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+        # per square: the lower (v00, v10, v11), then the upper (v00, v11, v01)
+        elements = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(2 * n * n, 3)
         volumes = np.full(2 * n * n, 0.5 * h * h)
-        boundary = (ix_n == 0) | (ix_n == n) | (iy_n == 0) | (iy_n == n)
+        boundary = (ix_n % n == 0) | (iy_n % n == 0)
     barycenters = nodes[elements].mean(axis=1)
     return Mesh(
         dimension=dimension,
@@ -109,35 +100,48 @@ def build_mesh(dimension: int, n: int, size: float = 1.0) -> Mesh:
     )
 
 
-def _gradient_matrix(mesh: Mesh) -> sp.csr_matrix:
-    d, h = mesh.dimension, mesh.h
-    ne = mesh.n_elements
-    if d == 1:
-        rows = np.repeat(np.arange(ne), 2)
-        cols = mesh.elements.ravel()
-        vals = np.tile([-1.0 / h, 1.0 / h], ne)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(ne, mesh.n_nodes))
-    # P1 gradients of the two congruent right triangles
-    # lower (v00, v10, v11): dx = (u1-u0)/h, dy = (u2-u1)/h
-    # upper (v00, v11, v01): dx = (u1-u2)/h, dy = (u2-u0)/h
-    coeff_lower = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]]) / h
-    coeff_upper = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]]) / h
-    coeffs = np.empty((ne, 2, 3))
-    coeffs[0::2] = coeff_lower
-    coeffs[1::2] = coeff_upper
-    rows = np.repeat(np.arange(ne * 2), 3)
-    cols = np.repeat(mesh.elements, 2, axis=0).ravel()
-    return sp.csr_matrix((coeffs.ravel(), (rows, cols)), shape=(ne * 2, mesh.n_nodes))
+def _leg_sums(mesh: Mesh, q: np.ndarray) -> list[np.ndarray]:
+    """Sum per-element values q (..., n_elements, d) onto the element legs:
+    one array per axis a, holding the edges along grid axis -1 - a."""
+    if mesh.dimension == 1:
+        return [q[..., 0]]
+    n, lead = mesh.n, q.shape[:-2]
+    q = q.reshape(lead + (n, n, 2, 2))
+    edges = [np.zeros(lead + (n + 1, n)), np.zeros(lead + (n, n + 1))]
+    for tri, a, leg in _LEGS:
+        edges[a][leg] += q[..., tri, a]
+    return edges
+
+
+def _along(axis: int, sl: slice) -> tuple:
+    """Index applying `sl` to the negative `axis` of an array."""
+    return (Ellipsis, sl) + (slice(None),) * (-1 - axis)
+
+
+def _to_nodes(edges: list[np.ndarray], sign: float = -1.0) -> np.ndarray:
+    """Sum per-axis edge values onto the nodes: along each axis node i gets
+    e[i-1] + sign * e[i], so sign = -1 is the transpose of np.diff."""
+    out = np.zeros(edges[0].shape[:-1] + (edges[0].shape[-1] + 1,))
+    for a, e in enumerate(edges):
+        out[_along(-1 - a, slice(None, -1))] += sign * e
+        out[_along(-1 - a, slice(1, None))] += e
+    return out
+
+
+def _gradient_adjoint(mesh: Mesh, q: np.ndarray) -> np.ndarray:
+    """Transpose of `Mesh.element_gradients`: (..., n_elements, d) -> (..., n_nodes)."""
+    nodal = _to_nodes(_leg_sums(mesh, q)) / mesh.h
+    return nodal.reshape(q.shape[:-2] + (mesh.n_nodes,))
 
 
 class Constraint:
     """Reduced parametrization of a constrained nodal space.
 
-    expand maps reduced dofs to the full nodal vector; the transpose maps
-    full-space gradients back.  For the periodic kind the expansion matrix
-    identifies opposite faces; the zero-mean direction is handled by the
-    solvers (energies are gradient-only, so constants are flat directions)
-    and normalized away after the solve.
+    Reduced dofs are the (n-1)^d interior nodes (zero trace) or the n^d torus
+    nodes.  expand zero-pads, or wraps onto the far faces; its transpose
+    reduce_adjoint slices the interior, or folds the far faces back.  Both
+    act on the last axis.  The periodic zero-mean direction is handled by the
+    solvers (energies are gradient-only) and normalized away after the solve.
     """
 
     def __init__(self, mesh: Mesh, kind: str):
@@ -145,39 +149,37 @@ class Constraint:
             raise ValueError(f"unknown constraint kind {kind!r}")
         self.mesh = mesh
         self.kind = kind
-        n, d = mesh.n, mesh.dimension
-        if kind == DIRICHLET_ZERO:
-            free = np.flatnonzero(~mesh.boundary)
-            self.n_dofs = free.size
-            B = sp.csr_matrix(
-                (np.ones(free.size), (free, np.arange(free.size))),
-                shape=(mesh.n_nodes, free.size),
-            )
-        else:
-            if d == 1:
-                rep = np.arange(n + 1) % n
-            else:
-                ix = np.tile(np.arange(n + 1), n + 1) % n
-                iy = np.repeat(np.arange(n + 1), n + 1) % n
-                rep = ix + n * iy
-            self.n_dofs = n**d
-            B = sp.csr_matrix(
-                (np.ones(mesh.n_nodes), (np.arange(mesh.n_nodes), rep)),
-                shape=(mesh.n_nodes, self.n_dofs),
-            )
-        self.matrix = B
-        self._matrix_T = B.T.tocsr()
+        d = mesh.dimension
+        m = mesh.n - 1 if kind == DIRICHLET_ZERO else mesh.n
+        self._shape = (m,) * d
+        self._inner = (...,) + (slice(1, -1) if kind == DIRICHLET_ZERO else slice(0, -1),) * d
+        self.n_dofs = m**d
 
     def expand(self, z: np.ndarray) -> np.ndarray:
-        return self.matrix @ z
+        lead, d = z.shape[:-1], self.mesh.dimension
+        u = np.zeros(lead + (self.mesh.n + 1,) * d)
+        u[self._inner] = z.reshape(lead + self._shape)
+        if self.kind == PERIODIC_MEAN_ZERO:
+            for ax in range(-d, 0):
+                u[_along(ax, slice(-1, None))] = u[_along(ax, slice(0, 1))]
+        return u.reshape(lead + (self.mesh.n_nodes,))
 
     def reduce_adjoint(self, g_full: np.ndarray) -> np.ndarray:
-        return self._matrix_T @ g_full
+        lead, d = g_full.shape[:-1], self.mesh.dimension
+        u = g_full.reshape(lead + (self.mesh.n + 1,) * d)
+        if self.kind == DIRICHLET_ZERO:
+            u = u[self._inner]
+        else:
+            for ax in range(-d, 0):
+                folded = u[_along(ax, slice(None, -1))].copy()
+                folded[_along(ax, slice(0, 1))] += u[_along(ax, slice(-1, None))]
+                u = folded
+        return u.reshape(lead + (self.n_dofs,))
 
     def normalize(self, z: np.ndarray) -> np.ndarray:
         """Project onto the constraint's normal form (zero mean if periodic)."""
         if self.kind == PERIODIC_MEAN_ZERO:
-            return z - z.mean()
+            return z - z.mean(axis=-1, keepdims=True)
         return z
 
 
@@ -213,19 +215,14 @@ class DiscreteField:
                 raise ValueError("field violates the zero-mean constraint")
 
     def reduced(self, constraint: "Constraint") -> np.ndarray:
-        if constraint.kind == DIRICHLET_ZERO:
-            return self.values[~self.mesh.boundary]
-        n, d = self.mesh.n, self.mesh.dimension
-        if d == 1:
-            return self.values[:n].copy()
-        grid = self.values.reshape(n + 1, n + 1)  # [iy, ix]
-        return grid[:n, :n].ravel()
+        grid = self.values.reshape((self.mesh.n + 1,) * self.mesh.dimension)
+        return grid[constraint._inner].flatten()
 
     def gradients(self) -> np.ndarray:
         return self.mesh.element_gradients(self.values)
 
     def at_barycenters(self) -> np.ndarray:
-        return self.mesh.barycenter_matrix() @ self.values
+        return self.values[self.mesh.elements].mean(axis=1)
 
     def lp_norm(self, p: float) -> float:
         """Discrete L^p norm by barycenter quadrature."""
@@ -247,17 +244,13 @@ class DiscreteField:
         ix = np.clip(np.floor(x / h).astype(int), 0, n - 1)
         iy = np.clip(np.floor(y / h).astype(int), 0, n - 1)
         lx, ly = x - ix * h, y - iy * h
-        v00 = ix + (n + 1) * iy
-        u = self.values
-        u00, u10 = u[v00], u[v00 + 1]
-        u01, u11 = u[v00 + n + 1], u[v00 + n + 2]
-        lower = ly <= lx
-        out = np.where(
-            lower,
+        u = self.values.reshape(n + 1, n + 1)
+        u00, u10, u01, u11 = u[iy, ix], u[iy, ix + 1], u[iy + 1, ix], u[iy + 1, ix + 1]
+        return np.where(
+            ly <= lx,
             u00 + (u10 - u00) * lx / h + (u11 - u10) * ly / h,
             u00 + (u11 - u01) * lx / h + (u01 - u00) * ly / h,
         )
-        return out
 
 
 def lp_distance(a: DiscreteField, b: DiscreteField, p: float) -> float:

@@ -6,23 +6,23 @@ on the deviation of each realization's gradient from the empirical mean
 gradient), and the periodic cell problems that produce effective integrand
 values and correctors on representative volumes.
 
-p = 2 uncoupled problems go through conjugate gradients on the assembled SPD
-system, preconditioned by the exact inverse of the unit-coefficient
-stiffness (a DST-I solve for zero trace, an FFT solve on the torus), so the
-iteration count does not grow with the mesh; everything else is minimized
-by Polak-Ribiere nonlinear CG with Armijo backtracking on the reduced
-(constrained) variables.
+p = 2 uncoupled problems go through conjugate gradients on the weighted P1
+stiffness (a 3-/5-point grid stencil, never assembled), preconditioned by
+the exact unit-coefficient inverse (DST-I for zero trace, FFT on the torus),
+so the iteration count does not grow with the mesh; everything else is
+minimized by Polak-Ribiere nonlinear CG with Armijo backtracking on the
+reduced (constrained) variables.
 """
 
 from __future__ import annotations
 
+import ctypes
 import time
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .integrand import IntegrandSpec, combined_weight
 from .medium import EnsembleSpec, Realization, periodize, sample_realization
@@ -32,6 +32,9 @@ from .meshing import (
     Constraint,
     DiscreteField,
     Mesh,
+    _gradient_adjoint,
+    _leg_sums,
+    _to_nodes,
     build_mesh,
 )
 
@@ -47,6 +50,16 @@ __all__ = [
 ]
 
 Load = float | Callable[[np.ndarray], np.ndarray] | None
+
+
+# Keep freed heap for reuse: glibc's adaptive thresholds otherwise return the
+# numpy temporaries of every objective evaluation to the OS and fault them back.
+try:
+    _libc = ctypes.CDLL(None)
+    _libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    _libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+except (AttributeError, OSError, TypeError):  # not glibc
+    pass
 
 
 @dataclass
@@ -143,8 +156,8 @@ class _Objective:
 
     Variables are the stacked reduced dofs of all N fields.  Element
     gradients optionally get a constant offset (cell problems); penalties:
-    "variance" couples realizations through the empirical mean gradient,
-    "corrector" penalizes each gradient norm individually.
+    "variance" (if E.coupled) couples realizations through the empirical
+    mean gradient, "corrector" penalizes each gradient norm individually.
     """
 
     def __init__(self, E: EnergyFunctional):
@@ -152,41 +165,51 @@ class _Objective:
         self.mesh = E.mesh
         self.constraint = Constraint(E.mesh, E.constraint)
         self.N = E.n_realizations
-        self.G = E.mesh.gradient_matrix()
-        self.GT = self.G.T.tocsr()
-        self.M = E.mesh.barycenter_matrix()
         self.vol = E.mesh.volumes
         self.d = E.mesh.dimension
-        self.p = E.integrand.p
-        # load vector in reduced coordinates, one per realization (shared)
-        self.load_red = self.constraint.reduce_adjoint(self.M.T @ (self.vol * E.load_values))
         self.n_dofs = self.constraint.n_dofs
+        self.variance = E.delta > 0 and E.coupled and E.penalty == "variance"
+        self.corrector = E.delta > 0 and E.penalty == "corrector"
+        # reduced load vector (shared): each vertex gets 1/nv of its elements' vol * f
+        nv = E.mesh.elements.shape[1]
+        weights = np.repeat(self.vol * E.load_values, nv) * (1.0 / nv)
+        load = np.bincount(E.mesh.elements.ravel(), weights, E.mesh.n_nodes)
+        self.load_red = self.constraint.reduce_adjoint(load)
 
-    def stiffness(self, w: np.ndarray) -> sp.spmatrix:
-        """Reduced P1 stiffness matrix of the element weights w (one per element)."""
-        B, G = self.constraint.matrix, self.G
-        return B.T @ (G.T @ sp.diags(np.repeat(self.vol * w, self.d)) @ G) @ B
+    def _edge_weights(self, w: np.ndarray) -> list[np.ndarray]:
+        """Per-axis edge weights: vol * w / h^2 summed over the elements with that leg."""
+        a = (self.vol * w / self.mesh.h**2)[..., None]
+        return _leg_sums(self.mesh, np.broadcast_to(a, a.shape[:-1] + (self.d,)))
+
+    def stiffness(self, w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """Matvec of the reduced P1 stiffness of the element weights w (one per element)."""
+        edges = self._edge_weights(w)
+        grid = (self.mesh.n + 1,) * self.d
+
+        def apply(z: np.ndarray) -> np.ndarray:
+            u = self.constraint.expand(z).reshape(grid)
+            Ku = _to_nodes([c * np.diff(u, axis=-1 - a) for a, c in enumerate(edges)])
+            return self.constraint.reduce_adjoint(Ku.reshape(-1))
+
+        return apply
 
     def precond_diag(self) -> np.ndarray:
         """Diagonal of the p=2-type Hessian surrogate for the stacked system."""
         E = self.E
         pen = 0.0
-        if E.delta > 0:
-            pen = 2.0 * E.delta * (1.0 - 1.0 / self.N if E.penalty == "variance" else 1.0)
-        out = np.empty((self.N, self.n_dofs))
-        for i in range(self.N):
-            out[i] = E.weights[i] * E.scale * self.stiffness(E.coef[i] + pen).diagonal()
-        flat = out.ravel()
+        if self.variance or self.corrector:
+            pen = 2.0 * E.delta * (1.0 - 1.0 / self.N if self.variance else 1.0)
+        # a node's stiffness diagonal is the sum of its incident edge weights
+        diag = _to_nodes(self._edge_weights(E.coef + pen), sign=1.0)
+        diag = self.constraint.reduce_adjoint(diag.reshape(self.N, -1))
+        flat = ((E.weights * E.scale)[:, None] * diag).ravel()
         return np.where(flat > 0, flat, 1.0)
-
-    def unpack(self, x: np.ndarray) -> np.ndarray:
-        return x.reshape(self.N, self.n_dofs)
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         E = self.E
-        p = self.p
-        U = self.constraint.matrix @ self.unpack(x).T  # (n_nodes, N) nodal fields
-        graw = (self.G @ U).T.reshape(self.N, self.mesh.n_elements, self.d)
+        p = E.integrand.p
+        Z = x.reshape(self.N, self.n_dofs)
+        graw = self.mesh.element_gradients(self.constraint.expand(Z))  # (N, n_elements, d)
         g = graw if E.gradient_offset is None else graw + E.gradient_offset[None]
         norms = np.linalg.norm(g, axis=-1)
         dens = (E.coef / p) * norms**p
@@ -196,31 +219,29 @@ class _Objective:
         nz = norms > 0
         scale[nz] = E.coef[nz] * norms[nz] ** (p - 2.0)
         dV = scale[..., None] * g
-        if E.delta > 0:
-            if E.penalty == "variance":
-                gbar = np.tensordot(E.weights, g, axes=(0, 0))
-                dev = g - gbar
-                dn = np.linalg.norm(dev, axis=-1)
-                value += E.delta * float(np.dot(E.weights, dn**p @ self.vol))
-                s = np.zeros_like(dn)
-                nz = dn > 0
-                s[nz] = p * dn[nz] ** (p - 2.0)
-                pen = s[..., None] * dev
-                pen_mean = np.tensordot(E.weights, pen, axes=(0, 0))
-                dV = dV + E.delta * (pen - pen_mean)
-            else:  # corrector penalty delta |grad phi|^p (offset excluded)
-                nraw = np.linalg.norm(graw, axis=-1)
-                value += E.delta * float(np.dot(E.weights, nraw**p @ self.vol))
-                s = np.zeros_like(nraw)
-                nz = nraw > 0
-                s[nz] = p * nraw[nz] ** (p - 2.0)
-                dV = dV + E.delta * s[..., None] * graw
+        if self.variance:
+            gbar = np.tensordot(E.weights, g, axes=(0, 0))
+            dev = g - gbar
+            dn = np.linalg.norm(dev, axis=-1)
+            value += E.delta * float(np.dot(E.weights, dn**p @ self.vol))
+            s = np.zeros_like(dn)
+            nz = dn > 0
+            s[nz] = p * dn[nz] ** (p - 2.0)
+            pen = s[..., None] * dev
+            pen_mean = np.tensordot(E.weights, pen, axes=(0, 0))
+            dV = dV + E.delta * (pen - pen_mean)
+        elif self.corrector:  # delta |grad phi|^p (offset excluded)
+            nraw = np.linalg.norm(graw, axis=-1)
+            value += E.delta * float(np.dot(E.weights, nraw**p @ self.vol))
+            s = np.zeros_like(nraw)
+            nz = nraw > 0
+            s[nz] = p * nraw[nz] ** (p - 2.0)
+            dV = dV + E.delta * s[..., None] * graw
         # chain rule back to reduced dofs
-        flat = (self.vol[None, :, None] * dV).reshape(self.N, -1)
-        grad = E.weights[:, None] * self.constraint.reduce_adjoint(self.GT @ flat.T).T
+        nodal = _gradient_adjoint(self.mesh, self.vol[None, :, None] * dV)
+        grad = E.weights[:, None] * self.constraint.reduce_adjoint(nodal)
         # load
-        ubar = (self.M @ U).T
-        value -= float(np.dot(E.weights, ubar @ (self.vol * E.load_values)))
+        value -= float(np.dot(E.weights, Z @ self.load_red))
         grad -= np.outer(E.weights, self.load_red)
         value *= E.scale
         grad *= E.scale
@@ -284,7 +305,7 @@ def _laplacian_inverse(mesh: Mesh, kind: str) -> Callable[[np.ndarray], np.ndarr
 
 
 def _pcg(
-    A: sp.csr_matrix,
+    A: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
     tol: float,
     max_iter: int,
@@ -292,9 +313,9 @@ def _pcg(
 ):
     """Preconditioned conjugate gradients, relative residual stop.
 
-    `precond` applies an SPD approximation of A^-1 (on the torus, of its
-    pseudo-inverse on mean-zero vectors); `_linear_spd_solve` passes the
-    unit-coefficient inverse of `_laplacian_inverse`.
+    `A` and `precond` are matvecs: the SPD matrix (`_Objective.stiffness`) and
+    an SPD approximation of its inverse (on the torus, of its pseudo-inverse
+    on mean-zero vectors); `_linear_spd_solve` passes `_laplacian_inverse`.
     """
     bnorm = float(np.linalg.norm(b))
     x = np.zeros_like(b)
@@ -306,7 +327,7 @@ def _pcg(
     rz = float(r @ z)
     it = 0
     while it < max_iter:
-        Ap = A @ pvec
+        Ap = A(pvec)
         alpha = rz / float(pvec @ Ap)
         x += alpha * pvec
         r -= alpha * Ap
@@ -320,24 +341,20 @@ def _pcg(
     return x, it, float(np.linalg.norm(r)), False
 
 
-def _ncg(fun, x0: np.ndarray, tol: float, max_iter: int, precond: np.ndarray | None = None):
+def _ncg(fun, x0: np.ndarray, tol: float, max_iter: int, precond: np.ndarray):
     """Polak-Ribiere nonlinear CG with restarts and Armijo backtracking.
 
     The first trial step comes from a Barzilai-Borwein estimate; one quadratic
     interpolation along the search direction sharpens it (exact line search on
     quadratic energies), then Armijo backtracking (c = 1e-4, factor 0.5)
-    guards the decrease.  An optional diagonal preconditioner rescales the
+    guards the decrease.  The diagonal preconditioner `precond` rescales the
     steepest-descent direction.
     """
-    dinv = 1.0 / precond if precond is not None else None
-
-    def prec(v):
-        return dinv * v if dinv is not None else v
-
+    dinv = 1.0 / precond
     x = x0.copy()
     f, g = fun(x)
     gnorm = float(np.linalg.norm(g))
-    z = prec(g)
+    z = dinv * g
     d = -z
     it = 0
     s_prev = y_prev = None
@@ -384,7 +401,7 @@ def _ncg(fun, x0: np.ndarray, tol: float, max_iter: int, precond: np.ndarray | N
             raise FloatingPointError("energy increased along an accepted step")
         s_prev = x_new - x
         y_prev = g_new - g
-        z_new = prec(g_new)
+        z_new = dinv * g_new
         beta = max(0.0, float(g_new @ (z_new - z)) / max(float(g @ z), 1e-300))
         d = -z_new + beta * d
         x, f, g, z = x_new, f_new, g_new, z_new
@@ -396,23 +413,17 @@ def _ncg(fun, x0: np.ndarray, tol: float, max_iter: int, precond: np.ndarray | N
 def _linear_spd_solve(obj: _Objective, tol: float, max_iter: int):
     """p = 2, no coupling: solve each realization's SPD system by spectral PCG."""
     E = obj.E
-    extra = 2.0 * E.delta if (E.delta > 0 and E.penalty == "corrector") else 0.0
-    Z = np.empty((obj.N, obj.n_dofs))
+    extra = 2.0 * E.delta if obj.corrector else 0.0
+    rhs = np.broadcast_to(obj.load_red, (obj.N, obj.n_dofs))
+    if E.gradient_offset is not None:
+        flux = (obj.vol * E.coef)[..., None] * E.gradient_offset
+        rhs = rhs - obj.constraint.reduce_adjoint(_gradient_adjoint(obj.mesh, flux))
     precond = _laplacian_inverse(obj.mesh, E.constraint)
-    iters = 0
-    ok = True
-    for i in range(obj.N):
-        K = obj.stiffness(E.coef[i] + extra).tocsr()
-        b = obj.load_red.copy()
-        if E.gradient_offset is not None:
-            flat = (obj.vol[:, None] * E.coef[i][:, None] * E.gradient_offset).ravel()
-            b = b - obj.constraint.reduce_adjoint(obj.GT @ flat)
-        z, it, _, conv = _pcg(K, b, tol, max_iter, precond)
-        Z[i] = z
-        iters += it
-        ok = ok and conv
-    f, g = obj.value_and_grad(Z.ravel())
-    return Z.ravel(), f, iters, float(np.linalg.norm(g)), ok
+    runs = [_pcg(obj.stiffness(w + extra), b, tol, max_iter, precond) for w, b in zip(E.coef, rhs)]
+    Z, iters, _, conv = zip(*runs)
+    x = np.concatenate(Z)
+    f, g = obj.value_and_grad(x)
+    return x, f, sum(iters), float(np.linalg.norm(g)), all(conv)
 
 
 def _solve(
@@ -421,7 +432,7 @@ def _solve(
     """Minimize E by linear CG (uncoupled p = 2) or nonlinear CG; see `minimize`."""
     t0 = time.perf_counter()
     obj = _Objective(E)
-    linear_ok = E.integrand.p == 2.0 and not (E.coupled and E.delta > 0)
+    linear_ok = E.integrand.p == 2.0 and not obj.variance
     if method is None:
         method = "cg" if linear_ok else "ncg"
     if method == "cg":
@@ -433,13 +444,11 @@ def _solve(
         x, f, iters, gnorm, conv = _ncg(
             obj.value_and_grad, x0, tol, max_iter, precond=obj.precond_diag()
         )
-    fields = []
-    for z in obj.unpack(x):
-        values = obj.constraint.expand(obj.constraint.normalize(z))
-        fields.append(DiscreteField(mesh=E.mesh, values=values, constraint=E.constraint))
+    values = obj.constraint.expand(obj.constraint.normalize(x.reshape(obj.N, obj.n_dofs)))
+    fields = [DiscreteField(mesh=E.mesh, values=v, constraint=E.constraint) for v in values]
     mean_field = None
     if obj.N > 1:
-        mv = np.tensordot(E.weights, np.stack([fl.values for fl in fields]), axes=(0, 0))
+        mv = np.tensordot(E.weights, values, axes=(0, 0))
         mean_field = DiscreteField(mesh=E.mesh, values=mv, constraint=E.constraint)
     return MinimizeResult(
         fields=fields,
@@ -567,20 +576,14 @@ def effective_integrand(
         raise ValueError("need at least one sample")
     rows = []
     for F in F_grid:
-        vals = []
-        iters = 0
-        gmax = 0.0
-        wall = 0.0
+        cells = []
         for s in range(n_samples):
             r = sample_realization(ensemble, s)
             if r.period is not None and r.period != L:
                 raise ValueError("ensemble period conflicts with requested L")
             res = cell_problem(r, L, integrand, F, delta=delta, n_per_cell=n_per_cell, tol=tol)
-            vals.append(res.value)
-            iters += res.iterations
-            gmax = max(gmax, res.grad_norm)
-            wall += res.wall_ms
-        arr = np.asarray(vals)
+            cells.append(res)
+        arr = np.array([res.value for res in cells])
         stderr = float(arr.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
         rows.append(
             EffectiveValue(
@@ -591,9 +594,9 @@ def effective_integrand(
                 stderr=stderr,
                 n_samples=n_samples,
                 values=tuple(float(v) for v in arr),
-                iterations=iters,
-                grad_norm=gmax,
-                wall_ms=wall,
+                iterations=sum(res.iterations for res in cells),
+                grad_norm=max(res.grad_norm for res in cells),
+                wall_ms=sum(res.wall_ms for res in cells),
             )
         )
     return rows

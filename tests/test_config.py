@@ -104,6 +104,7 @@ class TestValidation:
             "[ensemble]\ndistribution = zipf\n",
             "[study]\neps = 0\n",
             "[study]\nn_realizations = 0\n",
+            "[study]\nkind = diagram\ndelta = 0.5\nn_realizations = 1\n",
             "[study]\nL = 0\n",
             "[study]\nkind = solve\neps =\n",
             "[study]\nkind = pair\n",

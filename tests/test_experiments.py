@@ -2,6 +2,8 @@
 
 import csv
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -450,6 +452,20 @@ class TestOutputsAndCLI:
         cfgp.write_text("[ensemble]\nperiod = 4\n\n[study]\nkind = cell\nL = 8\n")
         assert cli_main(["cell", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 1
         assert "config error:" in capsys.readouterr().err
+
+    def test_import_does_not_load_scipy(self):
+        import homoglab
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(homoglab.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys, homoglab, homoglab.cli, homoglab.experiments\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestSpecExamples2D:

@@ -191,6 +191,17 @@ class TestCoupled:
             assert prev is None or dev < prev
             prev = dev
 
+    def test_uncoupled_penalty_is_ignored(self):
+        # coupled=False drops the variance penalty on every path, so the
+        # default (linear CG) and the forced nonlinear path agree
+        reals = [sample_realization(CB1, i) for i in range(3)]
+        E = assemble_energy(reals, 1 / 8, build_mesh(1, 32), V2, load=1.0, delta=0.5, coupled=False)
+        res = minimize(E)
+        ncg = minimize(E, method="ncg")
+        assert res.method == "cg" and res.converged and ncg.converged
+        assert res.grad_norm <= 1e-6
+        assert res.energy == pytest.approx(ncg.energy, rel=1e-8, abs=0)
+
     def test_requires_two_realizations(self):
         mesh = build_mesh(1, 16)
         with pytest.raises(ValueError):
@@ -286,6 +297,11 @@ class TestEffectiveIntegrand:
             assert row.mean >= t / rep.c_low - rep.c_low - 1e-9
 
 
+def _stencil_matrix(matvec, n_dofs):
+    """Dense matrix of a matvec, column by column from the identity."""
+    return np.stack([matvec(e) for e in np.eye(n_dofs)], axis=1)
+
+
 class TestSpectralPCG:
     """p = 2 linear CG with the unit-coefficient spectral preconditioner."""
 
@@ -296,7 +312,7 @@ class TestSpectralPCG:
         E = assemble_energy([unit_realization(d)], 4.0, mesh, V2)
         E.constraint = kind
         obj = solver_mod._Objective(E)
-        K = obj.stiffness(np.ones(mesh.n_elements)).toarray()
+        K = _stencil_matrix(obj.stiffness(np.ones(mesh.n_elements)), obj.n_dofs)
         apply = solver_mod._laplacian_inverse(mesh, kind)
         P = np.stack([apply(e) for e in np.eye(obj.n_dofs)], axis=1)
         assert np.allclose(P, np.linalg.pinv(K), rtol=0, atol=1e-13 * np.abs(P).max())
@@ -340,6 +356,53 @@ def _p1_stiffness(mesh, w, dof_of_node, n_dofs):
     return sp.csr_matrix((local[keep], (rows[keep], cols[keep])), shape=(n_dofs, n_dofs))
 
 
+def _dof_map(mesh, kind):
+    """Reduced dof of every node; -1 on the boundary for zero trace."""
+    n = mesh.n
+    idx = np.rint(mesh.nodes / mesh.h).astype(int)
+    if kind == "dirichlet-zero":
+        dof = np.full(mesh.n_nodes, -1)
+        dof[~mesh.boundary] = np.arange(int((~mesh.boundary).sum()))
+        return dof
+    idx %= n
+    return idx[:, 0] if mesh.dimension == 1 else idx[:, 0] + n * idx[:, 1]
+
+
+def _tridiagonal_stiffness(mesh, w, dof):
+    """1D P1 stiffness sum_e (w_e / h) [[1, -1], [-1, 1]], gathered on the dofs."""
+    K = np.zeros((dof.max() + 1,) * 2)
+    for e, (i, j) in enumerate(mesh.elements):
+        for a, b, s in ((i, i, 1), (j, j, 1), (i, j, -1), (j, i, -1)):
+            if dof[a] >= 0 and dof[b] >= 0:
+                K[dof[a], dof[b]] += s * w[e] / mesh.h
+    return K
+
+
+class TestStencilStiffness:
+    """The grid-stencil stiffness against independently assembled matrices."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("kind", ["dirichlet-zero", "periodic-mean-zero"])
+    def test_matvec_and_diagonal_match_assembly(self, d, kind):
+        mesh = build_mesh(d, 9 if d == 1 else 7, size=1.5)
+        reals = [unit_realization(d)] * 2
+        E = assemble_energy(reals, 4.0, mesh, V2)
+        E.constraint = kind
+        E.coef = np.random.default_rng(d).uniform(1.0, 4.0, size=E.coef.shape)
+        obj = solver_mod._Objective(E)
+        dof = _dof_map(mesh, kind)
+        diag = obj.precond_diag().reshape(2, obj.n_dofs)
+        for i in range(2):
+            if d == 1:
+                K = _tridiagonal_stiffness(mesh, E.coef[i], dof)
+            else:
+                K = _p1_stiffness(mesh, E.coef[i], dof, obj.n_dofs).toarray()
+            S = _stencil_matrix(obj.stiffness(E.coef[i]), obj.n_dofs)
+            assert np.abs(S - K).max() <= 1e-13 * np.abs(K).max()
+            expect = E.weights[i] * np.diag(K)
+            assert np.abs(diag[i] - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
 class TestDirectOracle:
     """p = 2 values against a direct sparse solve on a test-assembled stiffness."""
 
@@ -351,9 +414,7 @@ class TestDirectOracle:
         res = minimize(E)
         assert res.converged
         interior = ~mesh.boundary
-        dof = np.full(mesh.n_nodes, -1)
-        dof[interior] = np.arange(interior.sum())
-        K = _p1_stiffness(mesh, E.coef[0], dof, int(interior.sum()))
+        K = _p1_stiffness(mesh, E.coef[0], _dof_map(mesh, "dirichlet-zero"), int(interior.sum()))
         _, area = _barycentric_gradients(mesh)
         f = np.zeros(mesh.n_nodes)
         np.add.at(f, mesh.elements, area[:, None] / 3.0)  # load 1, barycenter quadrature
@@ -371,9 +432,7 @@ class TestDirectOracle:
         n = L * npc
         mesh = build_mesh(2, n, size=float(L))
         a = combined_weight(V2, r, mesh.barycenters)
-        ix = np.rint(mesh.nodes[:, 0] / mesh.h).astype(int) % n
-        iy = np.rint(mesh.nodes[:, 1] / mesh.h).astype(int) % n
-        torus = ix + n * iy
+        torus = _dof_map(mesh, "periodic-mean-zero")
         K = _p1_stiffness(mesh, a + 2.0 * delta, torus, n * n)
         # linear term sum_e |e| a_e F . grad(l_i), gathered on the torus dofs
         grads, area = _barycentric_gradients(mesh)
