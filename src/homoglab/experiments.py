@@ -9,7 +9,7 @@ Four studies:
 plus the operation commands cell / solve.  Independent
 (eps, seed) tasks run across a process pool; every aggregation is an ordered
 reduction over the task list, so outputs are byte-identical for any worker
-count at a fixed BLAS thread count.
+count.
 """
 
 from __future__ import annotations
@@ -97,9 +97,11 @@ def _log_growth(rep: StudyReport, cfg: ExperimentConfig, n: int = 2000) -> None:
     )
 
 
-def _pmap(fn, payloads, threads: int):
-    if threads and threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as ex:
+def _pmap(fn, payloads: list, threads: int):
+    # the pool starts all its workers up front: never more than there are tasks
+    workers = min(threads or 1, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(fn, payloads))
     return [fn(p) for p in payloads]
 

@@ -16,6 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .meshing import _dot
+
 __all__ = [
     "DiscreteValues",
     "UniformValues",
@@ -345,7 +347,7 @@ def birkhoff_average(
     offset = np.asarray(r.offset) - np.asarray(r.translation)
     mids, areas = _clipped_cells(sbox, offset)
     vals = obs.evaluate(r, mids)
-    return float(eps**d * np.dot(areas, vals))
+    return float(eps**d * _dot(areas, vals))
 
 
 def observable_expectation(

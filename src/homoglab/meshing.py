@@ -113,6 +113,25 @@ def _leg_sums(mesh: Mesh, q: np.ndarray) -> list[np.ndarray]:
     return edges
 
 
+# einsum subscripts of `_dot` by (a.ndim, b.ndim)
+_DOT_SUBSCRIPTS = {
+    (na, nb): f"{'abc'[: na - 1]}z,z{'xyw'[: nb - 1]}->{'abc'[: na - 1]}{'xyw'[: nb - 1]}"
+    for na in range(1, 4)
+    for nb in range(1, 4)
+}
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a contracted with b over a's last and b's first axis (tensordot, axes=1).
+
+    Every reduction whose result reaches an output goes through here.
+    `np.einsum` without `optimize` runs numpy's own sum-of-products loops and
+    never calls BLAS, so the summation order, and with it every bit of the
+    result, does not depend on the BLAS library or its thread count.
+    """
+    return np.einsum(_DOT_SUBSCRIPTS[a.ndim, b.ndim], a, b)
+
+
 def _along(axis: int, sl: slice) -> tuple:
     """Index applying `sl` to the negative `axis` of an array."""
     return (Ellipsis, sl) + (slice(None),) * (-1 - axis)
@@ -227,7 +246,7 @@ class DiscreteField:
     def lp_norm(self, p: float) -> float:
         """Discrete L^p norm by barycenter quadrature."""
         vals = np.abs(self.at_barycenters()) ** p
-        return float(np.dot(self.mesh.volumes, vals) ** (1.0 / p))
+        return float(_dot(self.mesh.volumes, vals)) ** (1.0 / p)
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the P1 interpolant at arbitrary points (..., d)."""
@@ -257,4 +276,4 @@ def lp_distance(a: DiscreteField, b: DiscreteField, p: float) -> float:
     """Discrete L^p distance, quadrature taken on a's mesh."""
     pts = a.mesh.barycenters
     diff = np.abs(a.at_barycenters() - b.eval(pts)) ** p
-    return float(np.dot(a.mesh.volumes, diff) ** (1.0 / p))
+    return float(_dot(a.mesh.volumes, diff)) ** (1.0 / p)

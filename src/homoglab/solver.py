@@ -11,7 +11,9 @@ stiffness (a 3-/5-point grid stencil, never assembled), preconditioned by
 the exact unit-coefficient inverse (DST-I for zero trace, FFT on the torus),
 so the iteration count does not grow with the mesh; everything else is
 minimized by Polak-Ribiere nonlinear CG with Armijo backtracking on the
-reduced (constrained) variables.
+reduced (constrained) variables.  Every inner product, norm and quadrature
+sum goes through the fixed-order `meshing._dot`, never BLAS, so results do
+not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .meshing import (
     Constraint,
     DiscreteField,
     Mesh,
+    _dot,
     _gradient_adjoint,
     _leg_sums,
     _to_nodes,
@@ -166,6 +169,7 @@ class _Objective:
         self.constraint = Constraint(E.mesh, E.constraint)
         self.N = E.n_realizations
         self.vol = E.mesh.volumes
+        self.vol0 = float(self.vol[0])  # uniform box: every element has this volume
         self.d = E.mesh.dimension
         self.n_dofs = self.constraint.n_dofs
         self.variance = E.delta > 0 and E.coupled and E.penalty == "variance"
@@ -175,6 +179,10 @@ class _Objective:
         weights = np.repeat(self.vol * E.load_values, nv) * (1.0 / nv)
         load = np.bincount(E.mesh.elements.ravel(), weights, E.mesh.n_nodes)
         self.load_red = self.constraint.reduce_adjoint(load)
+        self.loaded = bool(self.load_red.any())
+        # realization weight, element volume and scale folded into one factor
+        self.w = (E.weights * (self.vol0 * E.scale))[:, None]
+        self.w_coef = self.w * E.coef
 
     def _edge_weights(self, w: np.ndarray) -> list[np.ndarray]:
         """Per-axis edge weights: vol * w / h^2 summed over the elements with that leg."""
@@ -211,53 +219,55 @@ class _Objective:
         Z = x.reshape(self.N, self.n_dofs)
         graw = self.mesh.element_gradients(self.constraint.expand(Z))  # (N, n_elements, d)
         g = graw if E.gradient_offset is None else graw + E.gradient_offset[None]
-        norms = np.linalg.norm(g, axis=-1)
-        dens = (E.coef / p) * norms**p
-        value = float(np.dot(E.weights, dens @ self.vol))
-        # dV/dg per realization and element
-        scale = np.zeros_like(norms)
-        nz = norms > 0
-        scale[nz] = E.coef[nz] * norms[nz] ** (p - 2.0)
-        dV = scale[..., None] * g
+        w = self.w
+        sq, s = _norm_powers(g, p)
+        ws = self.w_coef * s  # w a |g|^(p-2): dV/dg = ws g, V = ws |g|^2 / p
+        value = float(_dot(ws.ravel(), sq.ravel())) / p
+        dV = _scaled(ws, g)
         if self.variance:
-            gbar = np.tensordot(E.weights, g, axes=(0, 0))
-            dev = g - gbar
-            dn = np.linalg.norm(dev, axis=-1)
-            value += E.delta * float(np.dot(E.weights, dn**p @ self.vol))
-            s = np.zeros_like(dn)
-            nz = dn > 0
-            s[nz] = p * dn[nz] ** (p - 2.0)
-            pen = s[..., None] * dev
-            pen_mean = np.tensordot(E.weights, pen, axes=(0, 0))
-            dV = dV + E.delta * (pen - pen_mean)
+            dev = g - _dot(E.weights, g)
+            sq, s = _norm_powers(dev, p)
+            value += E.delta * float(_dot((w * s).ravel(), sq.ravel()))
+            pen = _scaled(s, dev)
+            dV += _scaled((E.delta * p) * w, pen - _dot(E.weights, pen))
         elif self.corrector:  # delta |grad phi|^p (offset excluded)
-            nraw = np.linalg.norm(graw, axis=-1)
-            value += E.delta * float(np.dot(E.weights, nraw**p @ self.vol))
-            s = np.zeros_like(nraw)
-            nz = nraw > 0
-            s[nz] = p * nraw[nz] ** (p - 2.0)
-            dV = dV + E.delta * s[..., None] * graw
+            sq, s = _norm_powers(graw, p)
+            ws = w * s
+            value += E.delta * float(_dot(ws.ravel(), sq.ravel()))
+            dV += _scaled((E.delta * p) * ws, graw)
         # chain rule back to reduced dofs
-        nodal = _gradient_adjoint(self.mesh, self.vol[None, :, None] * dV)
-        grad = E.weights[:, None] * self.constraint.reduce_adjoint(nodal)
-        # load
-        value -= float(np.dot(E.weights, Z @ self.load_red))
-        grad -= np.outer(E.weights, self.load_red)
-        value *= E.scale
-        grad *= E.scale
+        grad = self.constraint.reduce_adjoint(_gradient_adjoint(self.mesh, dV))
+        if self.loaded:
+            wl = E.weights * E.scale
+            value -= float(_dot(wl, _dot(Z, self.load_red)))
+            grad -= np.outer(wl, self.load_red)
         if not np.isfinite(value):
             raise FloatingPointError("energy evaluated to a non-finite value")
         return value, grad.ravel()
 
 
-def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
-    """Unnormalized DST-I along one axis: y_k = sum_j x_j sin(pi j k / (m + 1))."""
-    x = np.moveaxis(x, axis, -1)
+def _norm_powers(g: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """|g|^2 and |g|^(p-2) over the last (length-d) axis, the power 0 where g = 0."""
+    sq = g[..., 0] * g[..., 0]
+    if g.shape[-1] == 2:
+        sq += g[..., 1] * g[..., 1]
+    return sq, np.power(sq, 0.5 * p - 1.0, out=np.zeros_like(sq), where=sq > 0)
+
+
+def _scaled(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """s[..., None] * g, one component at a time (a length-d inner loop is slow)."""
+    out = np.empty(g.shape)
+    for a in range(g.shape[-1]):
+        np.multiply(s, g[..., a], out=out[..., a])
+    return out
+
+
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """Unnormalized DST-I along the last axis: y_k = sum_j x_j sin(pi j k / (m + 1))."""
     m = x.shape[-1]
     zero = np.zeros(x.shape[:-1] + (1,))
     odd = np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1)
-    y = -0.5 * np.fft.rfft(odd, axis=-1).imag[..., 1 : m + 1]
-    return np.moveaxis(y, -1, axis)
+    return -0.5 * np.fft.rfft(odd, axis=-1).imag[..., 1 : m + 1]
 
 
 def _laplacian_inverse(mesh: Mesh, kind: str) -> Callable[[np.ndarray], np.ndarray]:
@@ -279,13 +289,15 @@ def _laplacian_inverse(mesh: Mesh, kind: str) -> Callable[[np.ndarray], np.ndarr
         # DST-I squared is (n/2) times the identity along each axis
         inv = (2.0 / n) ** d / eig
 
+        # transform along the last axis, then transpose to bring up the next;
+        # after d passes the axes are back in order (d <= 2)
         def apply(r: np.ndarray) -> np.ndarray:
             y = r.reshape(shape)
-            for ax in range(d):
-                y = _dst1(y, ax)
+            for _ in range(d):
+                y = _dst1(y).T
             y = y * inv
-            for ax in range(d):
-                y = _dst1(y, ax)
+            for _ in range(d):
+                y = _dst1(y).T
             return y.ravel()
 
         return apply
@@ -304,6 +316,11 @@ def _laplacian_inverse(mesh: Mesh, kind: str) -> Callable[[np.ndarray], np.ndarr
     return apply
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector, by the fixed-order `_dot`."""
+    return float(np.sqrt(_dot(v, v)))
+
+
 def _pcg(
     A: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
@@ -317,28 +334,30 @@ def _pcg(
     an SPD approximation of its inverse (on the torus, of its pseudo-inverse
     on mean-zero vectors); `_linear_spd_solve` passes `_laplacian_inverse`.
     """
-    bnorm = float(np.linalg.norm(b))
+    bnorm = _norm(b)
     x = np.zeros_like(b)
     if bnorm == 0.0:
         return x, 0, 0.0, True
     r = b.copy()
+    rnorm = bnorm
     z = precond(r)
     pvec = z.copy()
-    rz = float(r @ z)
+    rz = float(_dot(r, z))
     it = 0
     while it < max_iter:
         Ap = A(pvec)
-        alpha = rz / float(pvec @ Ap)
+        alpha = rz / float(_dot(pvec, Ap))
         x += alpha * pvec
         r -= alpha * Ap
         it += 1
-        if np.linalg.norm(r) <= tol * bnorm:
-            return x, it, float(np.linalg.norm(r)), True
+        rnorm = _norm(r)
+        if rnorm <= tol * bnorm:
+            return x, it, rnorm, True
         z = precond(r)
-        rz_new = float(r @ z)
+        rz_new = float(_dot(r, z))
         pvec = z + (rz_new / rz) * pvec
         rz = rz_new
-    return x, it, float(np.linalg.norm(r)), False
+    return x, it, rnorm, False
 
 
 def _ncg(fun, x0: np.ndarray, tol: float, max_iter: int, precond: np.ndarray):
@@ -353,11 +372,12 @@ def _ncg(fun, x0: np.ndarray, tol: float, max_iter: int, precond: np.ndarray):
     dinv = 1.0 / precond
     x = x0.copy()
     f, g = fun(x)
-    gnorm = float(np.linalg.norm(g))
+    gnorm = _norm(g)
     z = dinv * g
+    gz = float(_dot(g, z))
     d = -z
     it = 0
-    s_prev = y_prev = None
+    sy = ss = None  # curvature pair of the last accepted step
 
     def armijo(alpha, slope):
         # the epsilon term keeps the test decidable once decreases reach the
@@ -372,20 +392,20 @@ def _ncg(fun, x0: np.ndarray, tol: float, max_iter: int, precond: np.ndarray):
         return None
 
     while gnorm > tol * (1.0 + abs(f)) and it < max_iter:
-        restarted = float(g @ d) >= 0.0
+        slope = float(_dot(g, d))
+        restarted = slope >= 0.0
         if restarted:
             d = -z  # restart on a non-descent direction
-        slope = float(g @ d)
-        dnorm = float(np.linalg.norm(d))
-        if s_prev is not None and float(s_prev @ y_prev) > 0:
-            bb = float(s_prev @ s_prev) / float(s_prev @ y_prev)
-            alpha = bb * gnorm / max(dnorm, 1e-300)
+            slope = -gz
+        dnorm = _norm(d)
+        if sy is not None and sy > 0:
+            alpha = (ss / sy) * gnorm / max(dnorm, 1e-300)
         else:
             alpha = 1.0 / max(dnorm, 1.0)
         # secant step on the directional derivative: exact on quadratics and
         # immune to the value cancellation that stalls interpolation on f
         _, g_t = fun(x + alpha * d)
-        slope_t = float(g_t @ d)
+        slope_t = float(_dot(g_t, d))
         if slope_t > slope:
             alpha = float(np.clip(alpha * slope / (slope - slope_t), 1e-3 * alpha, 1e3 * alpha))
         else:
@@ -400,12 +420,13 @@ def _ncg(fun, x0: np.ndarray, tol: float, max_iter: int, precond: np.ndarray):
         if not f_new <= f + 1e-11 * (1.0 + abs(f)):
             raise FloatingPointError("energy increased along an accepted step")
         s_prev = x_new - x
-        y_prev = g_new - g
+        ss, sy = float(_dot(s_prev, s_prev)), float(_dot(s_prev, g_new - g))
         z_new = dinv * g_new
-        beta = max(0.0, float(g_new @ (z_new - z)) / max(float(g @ z), 1e-300))
+        beta = max(0.0, float(_dot(g_new, z_new - z)) / max(gz, 1e-300))
         d = -z_new + beta * d
         x, f, g, z = x_new, f_new, g_new, z_new
-        gnorm = float(np.linalg.norm(g))
+        gz = float(_dot(g, z))
+        gnorm = _norm(g)
         it += 1
     return x, f, it, gnorm, gnorm <= tol * (1.0 + abs(f))
 
@@ -423,7 +444,7 @@ def _linear_spd_solve(obj: _Objective, tol: float, max_iter: int):
     Z, iters, _, conv = zip(*runs)
     x = np.concatenate(Z)
     f, g = obj.value_and_grad(x)
-    return x, f, sum(iters), float(np.linalg.norm(g)), all(conv)
+    return x, f, sum(iters), _norm(g), all(conv)
 
 
 def _solve(
@@ -448,7 +469,7 @@ def _solve(
     fields = [DiscreteField(mesh=E.mesh, values=v, constraint=E.constraint) for v in values]
     mean_field = None
     if obj.N > 1:
-        mv = np.tensordot(E.weights, values, axes=(0, 0))
+        mv = _dot(E.weights, values)
         mean_field = DiscreteField(mesh=E.mesh, values=mv, constraint=E.constraint)
     return MinimizeResult(
         fields=fields,

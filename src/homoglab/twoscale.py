@@ -26,7 +26,7 @@ from .medium import (
     observable_abs_moment,
     observable_expectation,
 )
-from .meshing import DiscreteField, Mesh
+from .meshing import DiscreteField, Mesh, _dot
 
 __all__ = [
     "Dictionary",
@@ -187,28 +187,20 @@ class PairingVector:
             raise ValueError("value count does not match dictionary and blocks")
 
 
-def _entry_tables(dico: Dictionary, r: Realization, micro_pts: np.ndarray, macro_pts: np.ndarray):
-    """Per-entry observable and cosine values at quadrature points."""
-    obs_cache: dict[str, np.ndarray] = {}
-    cos_cache: dict[tuple[int, ...], np.ndarray] = {}
-    obs_rows = []
-    cos_rows = []
-    for e in dico.entries:
-        if e.obs.name not in obs_cache:
-            obs_cache[e.obs.name] = e.obs.evaluate(r, micro_pts)
-        if e.cos_k not in cos_cache:
-            cos_cache[e.cos_k] = cosine_eval(e.cos_k, macro_pts)
-        obs_rows.append(obs_cache[e.obs.name])
-        cos_rows.append(cos_cache[e.cos_k])
-    return np.stack(obs_rows), np.stack(cos_rows)
+def _stacked_norm(blocks: np.ndarray, p: float, vol: np.ndarray) -> float:
+    """(sum over the blocks (k, n_elements) of the quadrature of |block|^p)^(1/p)."""
+    return float(_dot(np.abs(blocks) ** p, vol).sum()) ** (1.0 / p)
 
 
-def _stacked_norm(u: DiscreteField, grads: np.ndarray | None, p: float, vol: np.ndarray) -> float:
-    total = float(np.dot(vol, np.abs(u.at_barycenters()) ** p))
-    if grads is not None:
-        for c in range(grads.shape[1]):
-            total += float(np.dot(vol, np.abs(grads[:, c]) ** p))
-    return total ** (1.0 / p)
+def _field_blocks(u: DiscreteField, include_gradient: bool) -> np.ndarray:
+    """Barycenter values, then (with include_gradient) the gradient components: (k, n_elements)."""
+    if not include_gradient:
+        return u.at_barycenters()[None]
+    g = u.gradients()
+    blocks = np.empty((1 + g.shape[1], len(g)))  # row-major, as `_dot` reads it fastest
+    blocks[0] = u.at_barycenters()
+    blocks[1:] = g.T
+    return blocks
 
 
 def quenched_pairing(
@@ -226,23 +218,26 @@ def quenched_pairing(
     if eps <= 0:
         raise ValueError("eps must be positive")
     mesh = u.mesh
-    vol = mesh.volumes
-    obs_t, cos_t = _entry_tables(dico, r, mesh.barycenters / eps, mesh.barycenters)
-    weights = obs_t * cos_t * vol
-    u_e = u.at_barycenters()
-    vals = [weights @ u_e]
-    grads = None
-    if include_gradient:
-        grads = u.gradients()
-        for c in range(mesh.dimension):
-            vals.append(weights @ grads[:, c])
+    blocks = _field_blocks(u, include_gradient)
+    # each distinct observable times the blocks, then one contraction per
+    # entry against its cosine; the (uniform) element volume comes last
+    micro = mesh.barycenters / eps
+    obs_blocks: dict[str, np.ndarray] = {}
+    cos_vals: dict[tuple[int, ...], np.ndarray] = {}
+    vals = np.empty((len(blocks), len(dico)))
+    for j, e in enumerate(dico.entries):
+        if e.obs.name not in obs_blocks:
+            obs_blocks[e.obs.name] = e.obs.evaluate(r, micro) * blocks
+        if e.cos_k not in cos_vals:
+            cos_vals[e.cos_k] = cosine_eval(e.cos_k, mesh.barycenters)
+        vals[:, j] = _dot(obs_blocks[e.obs.name], cos_vals[e.cos_k])
     return PairingVector(
-        values=np.concatenate(vals),
+        values=(vals * mesh.volumes[0]).ravel(),
         eps=eps,
-        norm=_stacked_norm(u, grads, dico.p, vol),
+        norm=_stacked_norm(blocks, dico.p, mesh.volumes),
         tag=f"seed={r.seed}",
         dico=dico,
-        blocks=1 + (mesh.dimension if include_gradient else 0),
+        blocks=len(blocks),
     )
 
 
@@ -338,9 +333,12 @@ def limit_pairing(
     enters through unit-direction cell correctors assumed to combine linearly
     in the macroscopic gradient (exact at p = 2).
     """
+    if mode not in ("function", "gradient"):
+        raise ValueError(f"unknown limit pairing mode {mode!r}")
+    if mode == "gradient" and not corrector_sets:
+        raise ValueError("gradient mode needs corrector samples")
     mesh = u_hom.mesh
-    vol = mesh.volumes
-    ubar = u_hom.at_barycenters()
+    blocks = _field_blocks(u_hom, mode == "gradient")
     # distinct observables and cosines
     obs_list: dict[str, ObservableSpec] = {}
     for e in dico.entries:
@@ -353,64 +351,39 @@ def limit_pairing(
             )
         else:
             exp_obs[name] = observable_expectation(obs, dico.ensemble, mc_samples)
-    cos_cache: dict[tuple[int, ...], np.ndarray] = {}
-
-    def cosvals(k):
-        if k not in cos_cache:
-            cos_cache[k] = cosine_eval(k, mesh.barycenters)
-        return cos_cache[k]
-
-    func_block = np.array(
-        [exp_obs[e.obs.name] * float(np.dot(vol, ubar * cosvals(e.cos_k))) for e in dico.entries]
-    )
-    if mode == "function":
-        return PairingVector(
-            values=func_block,
-            eps=0.0,
-            norm=u_hom.lp_norm(dico.p),
-            tag="limit",
-            dico=dico,
-            blocks=1,
-        )
-    if mode != "gradient":
-        raise ValueError(f"unknown limit pairing mode {mode!r}")
-    if not corrector_sets:
-        raise ValueError("gradient mode needs corrector samples")
+    # integral of every block against each distinct cosine
+    cos_int: dict[tuple[int, ...], np.ndarray] = {}
+    for e in dico.entries:
+        if e.cos_k not in cos_int:
+            cos = cosine_eval(e.cos_k, mesh.barycenters)
+            cos_int[e.cos_k] = _dot(blocks, cos) * mesh.volumes[0]
+    values = [np.array([exp_obs[e.obs.name] * cos_int[e.cos_k][0] for e in dico.entries])]
     d = mesh.dimension
-    g_hom = u_hom.gradients()
-    # kappa[name][c', c] = < corrector-gradient component c for direction c',
-    # paired with the observable > , estimated by torus averages
-    kappa: dict[str, np.ndarray] = {name: np.zeros((d, d)) for name in obs_list}
-    for cs in corrector_sets:
-        tvol = cs.mesh.volumes
-        scale = 1.0 / float(tvol.sum())
-        for name, obs in obs_list.items():
-            ovals = obs.evaluate(cs.realization, cs.mesh.barycenters)
-            for cp in range(d):
-                kappa[name][cp] += scale * (tvol * ovals) @ cs.grad_fields[cp]
-    for name in kappa:
-        kappa[name] /= len(corrector_sets)
-    grad_int = {}  # (c, k): integral of d_c u_hom * phi_Q
-    blocks = [func_block]
-    for c in range(d):
-        vals = []
-        for e in dico.entries:
-            base = exp_obs[e.obs.name] * float(np.dot(vol, g_hom[:, c] * cosvals(e.cos_k)))
-            fluct = 0.0
-            for cp in range(d):
-                key = (cp, e.cos_k)
-                if key not in grad_int:
-                    grad_int[key] = float(np.dot(vol, g_hom[:, cp] * cosvals(e.cos_k)))
-                fluct += kappa[e.obs.name][cp, c] * grad_int[key]
-            vals.append(base + fluct)
-        blocks.append(np.asarray(vals))
+    if mode == "gradient":
+        # kappa[name][c', c] = < corrector-gradient component c for direction c',
+        # paired with the observable > , estimated by torus averages
+        kappa: dict[str, np.ndarray] = {name: np.zeros((d, d)) for name in obs_list}
+        for cs in corrector_sets:
+            for name, obs in obs_list.items():
+                ovals = obs.evaluate(cs.realization, cs.mesh.barycenters)
+                for cp in range(d):
+                    kappa[name][cp] += _dot(ovals, cs.grad_fields[cp]) / len(ovals)
+        for name in kappa:
+            kappa[name] /= len(corrector_sets)
+        for c in range(d):
+            vals = []
+            for e in dico.entries:
+                grad_int = cos_int[e.cos_k][1:]  # integrals of d_c' u_hom * phi_Q
+                fluct = sum(kappa[e.obs.name][cp, c] * grad_int[cp] for cp in range(d))
+                vals.append(exp_obs[e.obs.name] * grad_int[c] + fluct)
+            values.append(np.asarray(vals))
     return PairingVector(
-        values=np.concatenate(blocks),
+        values=np.concatenate(values),
         eps=0.0,
-        norm=_stacked_norm(u_hom, g_hom, dico.p, vol),
+        norm=_stacked_norm(blocks, dico.p, mesh.volumes),
         tag="limit",
         dico=dico,
-        blocks=1 + d,
+        blocks=len(blocks),
     )
 
 
@@ -490,8 +463,8 @@ def unfold_isometry_check(
             moving = frozen = np.zeros((0, mids.shape[0]))
         u_vals = recipe.fn(moving, x_pts)
         t_vals = recipe.fn(frozen, x_pts)
-        a_vals[i] = eps**d * np.dot(areas, np.abs(u_vals) ** p)
-        b_vals[i] = eps**d * np.dot(areas, np.abs(t_vals) ** p)
+        a_vals[i] = eps**d * _dot(areas, np.abs(u_vals) ** p)
+        b_vals[i] = eps**d * _dot(areas, np.abs(t_vals) ** p)
     mean_a, mean_b = float(a_vals.mean()), float(b_vals.mean())
     norm_a, norm_b = mean_a ** (1.0 / p), mean_b ** (1.0 / p)
     defect = abs(norm_a - norm_b) / norm_a if norm_a > 0 else 0.0

@@ -467,6 +467,100 @@ class TestOutputsAndCLI:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_pool_never_larger_than_task_count(self, monkeypatch):
+        import homoglab.experiments as exp_mod
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(exp_mod, "ProcessPoolExecutor", RecordingPool)
+        assert exp_mod._pmap(abs, [-1, -2], 64) == [1, 2]
+        assert exp_mod._pmap(abs, [-3], 64) == [3]
+        assert exp_mod._pmap(abs, [-4, -5, -6], 2) == [4, 5, 6]
+        assert sizes == [2, 2]  # the one-task call ran serially
+
+
+# 2D configs whose inner products are long enough for a threaded BLAS to
+# split them (interior dofs > 10^4 on the sweep mesh, 10^4 elements in the cell)
+_BLAS_SWEEP = """
+[ensemble]
+dimension = 2
+values = 1, 4
+probs = 0.5, 0.5
+seed = 21
+
+[study]
+eps = 1/16
+L = 4
+n_realizations = 2
+
+[solver]
+h_over_eps = 8
+
+[dictionary]
+max_entries = 4
+"""
+
+_BLAS_CELL = """
+[ensemble]
+dimension = 2
+values = 1, 4
+probs = 0.5, 0.5
+seed = 21
+
+[integrand]
+p = 1.5
+
+[study]
+L = 9
+n_realizations = 1
+F = 1, 0
+"""
+
+
+class TestBlasThreadIndependence:
+    @pytest.mark.parametrize(
+        "command, config, table",
+        [("sweep", _BLAS_SWEEP, "report.csv"), ("cell", _BLAS_CELL, "cell.csv")],
+        ids=["sweep", "cell"],
+    )
+    def test_outputs_identical_for_one_and_two_blas_threads(
+        self, tmp_path, command, config, table
+    ):
+        import homoglab
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(homoglab.__file__)))
+        cfgp = tmp_path / "study.ini"
+        cfgp.write_text(config)
+        tables = []
+        for n in ("1", "2"):
+            env = dict(
+                os.environ,
+                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                OPENBLAS_NUM_THREADS=n,
+                OMP_NUM_THREADS=n,
+            )
+            out = tmp_path / f"blas{n}"
+            args = ["-m", "homoglab.cli", command, "--config", str(cfgp), "--out", str(out)]
+            subprocess.run([sys.executable, *args], env=env, capture_output=True, check=True)
+            rows = read_rows(out / table)
+            keep = [i for i, col in enumerate(rows[0]) if col != "wall_ms"]
+            tables.append([[row[i] for i in keep] for row in rows])
+        assert len(tables[0]) > 1
+        assert tables[0] == tables[1]
+
 
 class TestSpecExamples2D:
     def test_sweep_gap_shrinks_from_eps16_to_eps64(self):

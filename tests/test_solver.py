@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 import homoglab.solver as solver_mod
 from homoglab.integrand import FORM_DEGENERATE, IntegrandSpec, combined_weight
 from homoglab.medium import DiscreteValues, EnsembleSpec, periodize, sample_realization
-from homoglab.meshing import build_mesh
+from homoglab.meshing import _gradient_adjoint, build_mesh
 from homoglab.solver import (
     assemble_energy,
     cell_problem,
@@ -71,6 +71,86 @@ class TestAssembly:
         mesh = build_mesh(1, 8)
         with pytest.warns(UserWarning):
             assemble_energy([unit_realization()], 1 / 64, mesh, V2)
+
+
+def _reference_value_and_grad(obj, x):
+    """The objective written out with np.linalg.norm and masked powers."""
+    E, mesh = obj.E, obj.mesh
+    p, vol = E.integrand.p, mesh.volumes
+    Z = x.reshape(obj.N, obj.n_dofs)
+    graw = mesh.element_gradients(obj.constraint.expand(Z))
+    g = graw if E.gradient_offset is None else graw + E.gradient_offset
+
+    def power_terms(h, c):
+        """sum_i w_i sum_e vol_e c |h|^p / p and d/dh of the summand."""
+        hn = np.linalg.norm(h, axis=-1)
+        s = np.zeros_like(hn)
+        nz = hn > 0
+        s[nz] = np.broadcast_to(c, hn.shape)[nz] * hn[nz] ** (p - 2.0)
+        return float(E.weights @ ((c / p) * hn**p @ vol)), s[..., None] * h
+
+    value, dV = power_terms(g, E.coef)
+    if obj.variance:
+        dev = g - np.tensordot(E.weights, g, axes=(0, 0))
+        pv, pen = power_terms(dev, p)
+        value += E.delta * pv
+        dV = dV + E.delta * (pen - np.tensordot(E.weights, pen, axes=(0, 0)))
+    elif obj.corrector:
+        pv, pen = power_terms(graw, p)
+        value += E.delta * pv
+        dV = dV + E.delta * pen
+    nodal = _gradient_adjoint(mesh, vol[None, :, None] * dV)
+    grad = E.weights[:, None] * obj.constraint.reduce_adjoint(nodal)
+    value -= float(E.weights @ (Z @ obj.load_red))
+    grad -= np.outer(E.weights, obj.load_red)
+    return value * E.scale, (grad * E.scale).ravel()
+
+
+def _penalized_energy(d, p, penalty):
+    """Three coupled Dirichlet realizations with a load, or one torus cell."""
+    spec = CB1 if d == 1 else CB2
+    V = IntegrandSpec(p=p)
+    mesh = build_mesh(d, 16 if d == 1 else 8, size=2.0)
+    if penalty == "variance":
+        reals = [sample_realization(spec, i) for i in range(3)]
+        return assemble_energy(reals, 1.0, mesh, V, load=1.0, delta=0.7, coupled=True)
+    r = periodize(sample_realization(spec, 0), 2)
+    return solver_mod.EnergyFunctional(
+        realizations=[r],
+        weights=np.ones(1),
+        eps=1.0,
+        mesh=mesh,
+        integrand=V,
+        coef=combined_weight(V, r, mesh.barycenters)[None, :],
+        load_values=np.zeros(mesh.n_elements),
+        delta=0.7,
+        coupled=False,
+        constraint="periodic-mean-zero",
+        gradient_offset=np.broadcast_to(np.ones(d), (mesh.n_elements, d)).copy(),
+        penalty="corrector",
+        scale=0.25,
+    )
+
+
+class TestObjective:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("penalty", ["variance", "corrector"])
+    def test_matches_reference_with_zero_element_gradients(self, d, p, penalty):
+        obj = solver_mod._Objective(_penalized_energy(d, p, penalty))
+        assert obj.variance == (penalty == "variance")
+        assert obj.corrector == (penalty == "corrector")
+        Z = np.random.default_rng(int(10 * p) + d).normal(size=(obj.N, obj.n_dofs))
+        # a flat band of leading dofs: exactly zero gradients on the elements
+        # between it and the boundary (zero trace) or inside it (torus)
+        Z[:, : obj.n_dofs // 3] = 0.0
+        x = Z.ravel()
+        f, g = obj.value_and_grad(x)
+        f_ref, g_ref = _reference_value_and_grad(obj, x)
+        raw = obj.mesh.element_gradients(obj.constraint.expand(Z))
+        assert np.any(np.all(raw == 0.0, axis=-1))
+        assert abs(f - f_ref) <= 1e-13 * abs(f_ref)
+        assert np.abs(g - g_ref).max() <= 1e-13 * np.abs(g_ref).max()
 
 
 class TestMinimize:
