@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field
 
 from .integrand import FORM_DEGENERATE, FORM_P_DIRICHLET, IntegrandSpec
@@ -30,8 +31,12 @@ def _num(text: str) -> float:
     text = text.strip()
     if "/" in text:
         a, b = text.split("/")
-        return float(a) / float(b)
-    return float(text)
+        value = float(a) / float(b)
+    else:
+        value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"not a finite number: {text!r}")
+    return value
 
 
 def _num_list(text: str) -> tuple[float, ...]:
@@ -277,6 +282,12 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
         raise
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc)) from exc
+    if cfg.tol <= 0:
+        raise ConfigError("tol must be positive")
+    if cfg.n_per_cell < 4:
+        raise ConfigError("n_per_cell must be >= 4")
+    if cfg.max_iter < 1:
+        raise ConfigError("max_iter must be >= 1")
 
     cfg.resolved_text = _resolved_text(cp, cfg)
     return cfg

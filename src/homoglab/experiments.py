@@ -41,6 +41,7 @@ from .solver import assemble_energy, cell_problem, effective_integrand, minimize
 from .twoscale import (
     Dictionary,
     PairingVector,
+    _average_pairings,
     build_dictionary,
     empirical_young_measure,
     limit_pairing,
@@ -119,10 +120,13 @@ def _fit_rate(eps: list[float], vals: list[float]) -> tuple[float, float]:
     return float(coef[0]), residual
 
 
-def _reference_coefficient(cfg: ExperimentConfig, delta: float = 0.0) -> tuple[float, float]:
+def _reference_coefficient(
+    cfg: ExperimentConfig, rep: StudyReport, delta: float = 0.0
+) -> tuple[float, float]:
     """Effective isotropic coefficient from unit-direction cell problems.
 
-    Returns (c_hom, stderr_of_c); V_hom(F) ~= (c_hom / p) |F|^p.
+    Returns (c_hom, stderr_of_c); V_hom(F) ~= (c_hom / p) |F|^p.  A cell
+    solve that misses tol marks rep non-converged.
     """
     d = cfg.ensemble.dimension
     L = max(cfg.L_list)
@@ -136,14 +140,17 @@ def _reference_coefficient(cfg: ExperimentConfig, delta: float = 0.0) -> tuple[f
         n_samples=cfg.n_realizations,
         n_per_cell=cfg.n_per_cell,
         tol=cfg.tol,
+        max_iter=cfg.max_iter,
     )
+    rep.any_nonconverged |= not all(r.converged for r in rows)
     c = float(np.mean([r.mean for r in rows])) * cfg.integrand.p
     err = float(np.sqrt(np.mean([r.stderr**2 for r in rows]))) * cfg.integrand.p
     return c, err
 
 
-def _homogenized_solve(cfg: ExperimentConfig, c_hom: float):
-    """Fine-mesh minimizer of the constant-coefficient limit problem."""
+def _homogenized_solve(cfg: ExperimentConfig, rep: StudyReport, c_hom: float):
+    """Fine-mesh minimizer of the constant-coefficient limit problem; a
+    solve that misses tol marks rep non-converged."""
     from .integrand import IntegrandSpec
 
     mesh = build_mesh(cfg.ensemble.dimension, cfg.fine_n)
@@ -157,6 +164,7 @@ def _homogenized_solve(cfg: ExperimentConfig, c_hom: float):
     r = sample_realization(hom_ens, 0)
     E = assemble_energy([r], 1.0, mesh, hom_V, load=cfg.load)
     res = minimize(E, tol=min(cfg.tol, 1e-10), max_iter=cfg.max_iter)
+    rep.any_nonconverged |= not res.converged
     return res.fields[0], res.energy
 
 
@@ -237,8 +245,8 @@ def run_homogenization_sweep(
     _log_realizations(rep, cfg)
     _log_growth(rep, cfg)
     t0 = time.perf_counter()
-    c_hom, c_err = _reference_coefficient(cfg)
-    u_hom, min_hom = _homogenized_solve(cfg, c_hom)
+    c_hom, c_err = _reference_coefficient(cfg, rep)
+    u_hom, min_hom = _homogenized_solve(cfg, rep, c_hom)
     dico = _dictionary(cfg)
     lim = limit_pairing(u_hom, dico, mode="function")
     rep.timing_rows.append(["sweep", "reference", (time.perf_counter() - t0) * 1e3])
@@ -296,9 +304,7 @@ def _diagram_task(payload):
     t0 = time.perf_counter()
     reals = [sample_realization(cfg.ensemble, i) for i in range(cfg.n_realizations)]
     mesh = build_mesh(cfg.ensemble.dimension, cfg.mesh_n(eps))
-    E = assemble_energy(
-        reals, eps, mesh, cfg.integrand, load=cfg.load, delta=delta, coupled=delta > 0
-    )
+    E = assemble_energy(reals, eps, mesh, cfg.integrand, load=cfg.load, delta=delta)
     res = minimize(E, tol=cfg.tol, max_iter=cfg.max_iter)
     return {
         "eps": eps,
@@ -375,8 +381,8 @@ def run_regularization_diagram(
     c_by_delta = {}
     for dl in deltas:
         t0 = time.perf_counter()
-        c_dl, _ = _reference_coefficient(cfg, delta=dl)
-        u_hom, min_hom = _homogenized_solve(cfg, c_dl)
+        c_dl, _ = _reference_coefficient(cfg, rep, delta=dl)
+        u_hom, min_hom = _homogenized_solve(cfg, rep, c_dl)
         c_by_delta[dl] = (c_dl, min_hom)
         rep.rows.append(
             ReportRow(
@@ -404,7 +410,7 @@ def run_regularization_diagram(
         c_floor = min(c_by_delta[dl][0] for dl in cfg.delta_list)
         if not (0.0 < c_star <= c_floor + 1e-12):
             c_star = c_by_delta[delta_min][0]
-        _, path_hom_route = _homogenized_solve(cfg, c_star)
+        _, path_hom_route = _homogenized_solve(cfg, rep, c_star)
     else:
         c_star = c_by_delta[delta_min][0]
         path_hom_route = c_by_delta[delta_min][1]
@@ -464,9 +470,11 @@ def run_nonergodic_study(cfg: ExperimentConfig, threads: int = 1, force: bool = 
             np.eye(cfg.ensemble.dimension)[0],
             n_per_cell=cfg.n_per_cell,
             tol=cfg.tol,
+            max_iter=cfg.max_iter,
         )
+        rep.any_nonconverged |= not res.converged
         c_i = cfg.integrand.p * res.value
-        u_hom_i, min_hom_i = _homogenized_solve(cfg, c_i)
+        u_hom_i, min_hom_i = _homogenized_solve(cfg, rep, c_i)
         limits[str(i)] = limit_pairing(u_hom_i, dico, mode="function", realizations=[r])
         rep.rows.append(
             ReportRow(
@@ -557,9 +565,11 @@ def run_quenched_vs_mean(cfg: ExperimentConfig, threads: int = 1, force: bool = 
         n_samples=cfg.n_realizations,
         n_per_cell=cfg.n_per_cell,
         tol=cfg.tol,
+        max_iter=cfg.max_iter,
     )
-    c_hom, _ = _reference_coefficient(cfg)
-    u_hom, min_hom = _homogenized_solve(cfg, c_hom)
+    rep.any_nonconverged |= not all(c.converged for c in csets)
+    c_hom, _ = _reference_coefficient(cfg, rep)
+    u_hom, min_hom = _homogenized_solve(cfg, rep, c_hom)
     lim = limit_pairing(u_hom, dico, mode="gradient", corrector_sets=csets)
     rep.timing_rows.append(["quenched-vs-mean", "limit", (time.perf_counter() - t0) * 1e3])
     rep.summary.update(c_hom=c_hom, min_hom=min_hom)
@@ -600,14 +610,7 @@ def run_quenched_vs_mean(cfg: ExperimentConfig, threads: int = 1, force: bool = 
                 rep.pairing_rows.append(
                     [res["seed"], eps, j + 1, _phi_label(dico, j), val]
                 )
-        mean_vec = PairingVector(
-            values=np.mean(np.stack([v.values for v in vecs]), axis=0),
-            eps=eps,
-            norm=float(np.mean([v.norm for v in vecs])),
-            tag="mean",
-            dico=dico,
-            blocks=1 + cfg.ensemble.dimension,
-        )
+        mean_vec = _average_pairings(vecs, eps)
         mean_trajectory.append(mean_vec)
         dm = metric_distance(mean_vec, lim)
         dq_max = max(metric_distance(v, lim) for v in vecs)
@@ -677,8 +680,10 @@ def run_cell_table(cfg: ExperimentConfig, threads: int = 1, force: bool = False)
                 n_samples=cfg.n_realizations,
                 n_per_cell=cfg.n_per_cell,
                 tol=cfg.tol,
+                max_iter=cfg.max_iter,
             )
             for r in rows:
+                rep.any_nonconverged |= not r.converged
                 rep.cell_rows.append(
                     [
                         " ".join(repr(c) for c in r.F),

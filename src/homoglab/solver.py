@@ -6,7 +6,8 @@ on the deviation of each realization's gradient from the empirical mean
 gradient), and the periodic cell problems that produce effective integrand
 values and correctors on representative volumes.
 
-p = 2 uncoupled problems go through conjugate gradients on the weighted P1
+The energy alone picks the minimizer, with no override.  p = 2 problems
+without a variance penalty go through conjugate gradients on the weighted P1
 stiffness (a 3-/5-point grid stencil, never assembled), preconditioned by
 the exact unit-coefficient inverse (DST-I for zero trace, FFT on the torus),
 so the iteration count does not grow with the mesh; everything else is
@@ -70,9 +71,9 @@ class EnergyFunctional:
     """Discretized energy, ready for minimization.
 
     coef[i, e] holds the density weight of realization i at element e,
-    sampled at barycenter/eps.  delta > 0 with coupled=True adds the
-    empirical-variance penalty; with a "corrector" penalty (cell problems)
-    it penalizes each gradient individually, see `_Objective`.
+    sampled at barycenter/eps.  delta > 0 adds the empirical-variance
+    penalty, which couples the realizations; with a "corrector" penalty
+    (cell problems) it penalizes each gradient individually, see `_Objective`.
     """
 
     realizations: list[Realization]
@@ -83,7 +84,6 @@ class EnergyFunctional:
     coef: np.ndarray
     load_values: np.ndarray
     delta: float
-    coupled: bool
     constraint: str = DIRICHLET_ZERO
     gradient_offset: np.ndarray | None = None
     penalty: str = "variance"
@@ -101,12 +101,12 @@ def assemble_energy(
     integrand: IntegrandSpec,
     load: Load = None,
     delta: float = 0.0,
-    coupled: bool | None = None,
 ) -> EnergyFunctional:
     """Build the sample-averaged oscillatory energy on the given mesh.
 
     The random coefficient is sampled at tau_{x_e/eps}, one point per element
-    barycenter x_e; the load stays at macroscopic coordinates.
+    barycenter x_e; the load stays at macroscopic coordinates.  delta > 0
+    adds the variance penalty, which needs at least 2 realizations.
     """
     realizations = list(realizations)
     if not realizations:
@@ -115,9 +115,7 @@ def assemble_energy(
         raise ValueError("eps must be positive")
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    if coupled is None:
-        coupled = delta > 0 and len(realizations) > 1
-    if coupled and delta > 0 and len(realizations) < 2:
+    if delta > 0 and len(realizations) < 2:
         raise ValueError("variance coupling needs at least 2 realizations")
     if mesh.h > eps / 4 + 1e-12:
         warnings.warn(f"mesh h={mesh.h:g} does not resolve eps={eps:g} (want h <= eps/4)")
@@ -138,7 +136,6 @@ def assemble_energy(
         coef=coef,
         load_values=f_e,
         delta=delta,
-        coupled=coupled,
     )
 
 
@@ -151,7 +148,6 @@ class MinimizeResult:
     grad_norm: float
     wall_ms: float
     converged: bool
-    method: str
 
 
 class _Objective:
@@ -159,7 +155,7 @@ class _Objective:
 
     Variables are the stacked reduced dofs of all N fields.  Element
     gradients optionally get a constant offset (cell problems); penalties:
-    "variance" (if E.coupled) couples realizations through the empirical
+    "variance" couples realizations through the empirical
     mean gradient, "corrector" penalizes each gradient norm individually.
     """
 
@@ -172,7 +168,7 @@ class _Objective:
         self.vol0 = float(self.vol[0])  # uniform box: every element has this volume
         self.d = E.mesh.dimension
         self.n_dofs = self.constraint.n_dofs
-        self.variance = E.delta > 0 and E.coupled and E.penalty == "variance"
+        self.variance = E.delta > 0 and E.penalty == "variance"
         self.corrector = E.delta > 0 and E.penalty == "corrector"
         # reduced load vector (shared): each vertex gets 1/nv of its elements' vol * f
         nv = E.mesh.elements.shape[1]
@@ -447,18 +443,11 @@ def _linear_spd_solve(obj: _Objective, tol: float, max_iter: int):
     return x, f, sum(iters), _norm(g), all(conv)
 
 
-def _solve(
-    E: EnergyFunctional, tol: float, max_iter: int, method: str | None = None
-) -> MinimizeResult:
+def _solve(E: EnergyFunctional, tol: float, max_iter: int) -> MinimizeResult:
     """Minimize E by linear CG (uncoupled p = 2) or nonlinear CG; see `minimize`."""
     t0 = time.perf_counter()
     obj = _Objective(E)
-    linear_ok = E.integrand.p == 2.0 and not obj.variance
-    if method is None:
-        method = "cg" if linear_ok else "ncg"
-    if method == "cg":
-        if not linear_ok:
-            raise ValueError("linear path needs p = 2 and no variance coupling")
+    if E.integrand.p == 2.0 and not obj.variance:
         x, f, iters, gnorm, conv = _linear_spd_solve(obj, tol, max_iter)
     else:
         x0 = np.zeros(obj.N * obj.n_dofs)
@@ -479,24 +468,18 @@ def _solve(
         grad_norm=gnorm,
         wall_ms=(time.perf_counter() - t0) * 1e3,
         converged=conv,
-        method=method,
     )
 
 
-def minimize(
-    E: EnergyFunctional, tol: float = 1e-8, max_iter: int = 20_000, method: str | None = None
-) -> MinimizeResult:
+def minimize(E: EnergyFunctional, tol: float = 1e-8, max_iter: int = 20_000) -> MinimizeResult:
     """Minimize the energy over its constrained fields.
 
-    method None picks linear CG for uncoupled p = 2 problems and nonlinear CG
-    otherwise; pass "ncg" to force the nonlinear path (used for the
-    self-consistency oracle).  Any other method raises ValueError.
+    The energy picks the path, with no override: linear CG for p = 2 without
+    a variance penalty, nonlinear CG otherwise.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if method not in (None, "cg", "ncg"):
-        raise ValueError(f"unknown method {method!r}; use None, 'cg' or 'ncg'")
-    return _solve(E, tol, max_iter, method)
+    return _solve(E, tol, max_iter)
 
 
 @dataclass
@@ -549,7 +532,6 @@ def cell_problem(
         coef=coef,
         load_values=np.zeros(mesh.n_elements),
         delta=delta,
-        coupled=False,
         constraint=PERIODIC_MEAN_ZERO,
         gradient_offset=np.broadcast_to(F, (mesh.n_elements, d)).copy(),
         penalty="corrector",
@@ -580,6 +562,7 @@ class EffectiveValue:
     iterations: int
     grad_norm: float
     wall_ms: float
+    converged: bool
 
 
 def effective_integrand(
@@ -591,6 +574,7 @@ def effective_integrand(
     n_samples: int = 8,
     n_per_cell: int = 8,
     tol: float = 1e-9,
+    max_iter: int = 50_000,
 ) -> list[EffectiveValue]:
     """Tabulate cell-problem values over an F grid, averaged over realizations."""
     if n_samples < 1:
@@ -602,7 +586,9 @@ def effective_integrand(
             r = sample_realization(ensemble, s)
             if r.period is not None and r.period != L:
                 raise ValueError("ensemble period conflicts with requested L")
-            res = cell_problem(r, L, integrand, F, delta=delta, n_per_cell=n_per_cell, tol=tol)
+            res = cell_problem(
+                r, L, integrand, F, delta=delta, n_per_cell=n_per_cell, tol=tol, max_iter=max_iter
+            )
             cells.append(res)
         arr = np.array([res.value for res in cells])
         stderr = float(arr.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
@@ -618,6 +604,7 @@ def effective_integrand(
                 iterations=sum(res.iterations for res in cells),
                 grad_norm=max(res.grad_norm for res in cells),
                 wall_ms=sum(res.wall_ms for res in cells),
+                converged=all(res.converged for res in cells),
             )
         )
     return rows

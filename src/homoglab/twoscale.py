@@ -254,6 +254,11 @@ def mean_pairing(
     if any(f.mesh is not mesh0 and f.mesh.n != mesh0.n for _, f in fields):
         raise ValueError("fields must share one mesh")
     vecs = [quenched_pairing(f, r, eps, dico, include_gradient) for r, f in fields]
+    return _average_pairings(vecs, eps)
+
+
+def _average_pairings(vecs: Sequence[PairingVector], eps: float) -> PairingVector:
+    """Entry-wise mean of pairing vectors on one dictionary, with per-entry stderr."""
     stack = np.stack([v.values for v in vecs])
     n = len(vecs)
     stderr = stack.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else None
@@ -262,7 +267,7 @@ def mean_pairing(
         eps=eps,
         norm=float(np.mean([v.norm for v in vecs])),
         tag="mean",
-        dico=dico,
+        dico=vecs[0].dico,
         blocks=vecs[0].blocks,
         stderr=stderr,
     )
@@ -275,6 +280,7 @@ class CorrectorSet:
     realization: Realization
     mesh: Mesh
     grad_fields: np.ndarray  # (d, n_elements, d)
+    converged: bool
 
 
 def sample_correctors(
@@ -285,6 +291,7 @@ def sample_correctors(
     n_per_cell: int = 8,
     delta: float = 0.0,
     tol: float = 1e-9,
+    max_iter: int = 50_000,
 ) -> list[CorrectorSet]:
     """Solve unit-direction cell problems for n_samples realizations."""
     from .medium import periodize, sample_realization
@@ -294,16 +301,19 @@ def sample_correctors(
     d = ensemble.dimension
     for s in range(n_samples):
         r = sample_realization(ensemble, s)
-        grads = []
-        mesh = None
-        for c in range(d):
-            res = cell_problem(
-                r, L, integrand, np.eye(d)[c], delta=delta, n_per_cell=n_per_cell, tol=tol
-            )
-            grads.append(res.corrector.gradients())
-            mesh = res.corrector.mesh
+        cells = [
+            cell_problem(r, L, integrand, np.eye(d)[c], delta, n_per_cell, tol, max_iter)
+            for c in range(d)
+        ]
         rp = r if r.period is not None else periodize(r, L)
-        out.append(CorrectorSet(realization=rp, mesh=mesh, grad_fields=np.stack(grads)))
+        out.append(
+            CorrectorSet(
+                realization=rp,
+                mesh=cells[0].corrector.mesh,
+                grad_fields=np.stack([res.corrector.gradients() for res in cells]),
+                converged=all(res.converged for res in cells),
+            )
+        )
     return out
 
 

@@ -113,6 +113,13 @@ class TestValidation:
             "[solver]\nrve_bc = dirichlet\n",
             "[integrand]\nform = degenerate-weighted\n",
             "[ensemble]\ndimension = 2\n\n[study]\nF = 1\n",
+            "[study]\neps = nan\n",
+            "[study]\neps = 1/8, inf\n",
+            "[study]\nload = nan\n",
+            "[solver]\ntol = nan\n",
+            "[solver]\ntol = -1\n",
+            "[solver]\nn_per_cell = 2\n",
+            "[solver]\nmax_iter = 0\n",
         ],
     )
     def test_rejected(self, text):

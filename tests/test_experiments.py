@@ -624,3 +624,17 @@ class TestSidecars:
         cfgp.write_text(SWEEP_SMALL + "\n[solver]\nmax_iter = 1\ntol = 1e-14\n")
         code = cli_main(["solve", "--config", str(cfgp), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_cli_exit_two_on_nonconverged_cell_problems(self, tmp_path):
+        # cell tables solve only cell problems; [solver] max_iter caps them too
+        cfgp = tmp_path / "cell.ini"
+        cfgp.write_text(
+            "[ensemble]\nvalues = 1, 4\nprobs = 0.5, 0.5\nseed = 21\n"
+            "\n[integrand]\np = 1.5\n"
+            "\n[study]\nkind = cell\nL = 2\nn_realizations = 2\n"
+            "\n[solver]\nn_per_cell = 4\nmax_iter = 1\n"
+        )
+        out = tmp_path / "o"
+        assert cli_main(["cell", "--config", str(cfgp), "--out", str(out)]) == 2
+        rows = read_rows(out / "cell.csv")
+        assert int(rows[1][rows[0].index("iters")]) <= 2

@@ -12,6 +12,7 @@ from homoglab.solver import assemble_energy, minimize
 from homoglab.twoscale import (
     FieldRecipe,
     PairingVector,
+    _average_pairings,
     build_dictionary,
     cosine_lq_norm,
     empirical_young_measure,
@@ -152,6 +153,19 @@ class TestPairings:
         stack = np.stack([quenched_pairing(u, r, 1 / 8, dic).values for r, u in pairs])
         assert np.array_equal(m.values, stack.mean(axis=0))
         assert m.stderr is not None and np.all(m.stderr >= 0.0)
+
+    def test_mean_of_pairing_vectors_is_mean_pairing(self):
+        # the quenched-vs-mean study averages its task pairings with the
+        # helper behind mean_pairing: same values, norm, blocks and stderr
+        mesh = build_mesh(2, 16)
+        u = DiscreteField.from_function(mesh, lambda x: x[:, 0] * x[:, 1])
+        pairs = [(sample_realization(CB2, i), u) for i in range(3)]
+        m = mean_pairing(pairs, 1 / 4, DICT2, include_gradient=True)
+        vecs = [quenched_pairing(u, r, 1 / 4, DICT2, include_gradient=True) for r, u in pairs]
+        a = _average_pairings(vecs, 1 / 4)
+        assert a.blocks == m.blocks == 3 and a.tag == "mean" and a.norm == m.norm
+        assert np.array_equal(a.values, np.stack([v.values for v in vecs]).mean(axis=0))
+        assert np.array_equal(a.values, m.values) and np.array_equal(a.stderr, m.stderr)
 
     def test_mean_stderr_shrinks_with_samples(self):
         mesh = build_mesh(1, 64)
