@@ -45,7 +45,10 @@ def _num_list(text: str) -> tuple[float, ...]:
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(round(v)) for v in _num_list(text))
+    values = _num_list(text)
+    if any(v != round(v) for v in values):
+        raise ConfigError(f"not a list of integers: {text!r}")
+    return tuple(int(v) for v in values)
 
 
 def _bool(text: str) -> bool:
@@ -288,6 +291,13 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
         raise ConfigError("n_per_cell must be >= 4")
     if cfg.max_iter < 1:
         raise ConfigError("max_iter must be >= 1")
+    if cfg.fine_n < 2:
+        raise ConfigError("fine_n must be >= 2")
+    for key in ("probe_radius", "cosine_degree", "mc_samples"):
+        if getattr(cfg, key) < 0:
+            raise ConfigError(f"[dictionary] {key} must be >= 0")
+    if cfg.max_entries < 1:  # the constant entry is always built
+        raise ConfigError("[dictionary] max_entries must be >= 1")
 
     cfg.resolved_text = _resolved_text(cp, cfg)
     return cfg

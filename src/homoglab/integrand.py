@@ -14,8 +14,12 @@ import numpy as np
 
 from .medium import (
     TAG_LAMBDA,
+    TAG_REALIZATION,
     EnsembleSpec,
     Realization,
+    _cell_values,
+    _mix,
+    _offsets,
     derived_realization,
     eval_coefficient,
     mix_seed,
@@ -141,13 +145,18 @@ def verify_growth(
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
     F = mag[:, None] * dirs
 
-    from .medium import sample_realization
-
+    # evaluate_density(spec, sample_realization(ensemble, idx[i]), x[i], F[i])
+    # for every i at once: the same seeds, offsets and cell hashes, vectorized
     idx = rng.integers(0, 2**31, size=n)
-    vals = np.empty(n)
-    for i in range(n):
-        r = sample_realization(ensemble, int(idx[i]))
-        vals[i] = evaluate_density(spec, r, x[i], F[i])
+    seeds = _mix(ensemble.seed, TAG_REALIZATION, idx.astype(np.uint64))
+    y = _offsets(seeds, d) if ensemble.shift_sampling else 0.0
+    cells = np.floor(x - y).astype(np.int64)
+    w = _cell_values(ensemble.cells, seeds, ensemble.period, cells)
+    if spec.degenerate:
+        lam = spec.lambda_cells
+        period = ensemble.period if lam.period is None else lam.period
+        w = w * _cell_values(lam.cells, _mix(seeds, TAG_LAMBDA), period, cells)
+    vals = (w / spec.p) * np.linalg.norm(F, axis=-1) ** spec.p
 
     t = mag**spec.p / spec.p
     c_high = float(np.max(vals / (t + 1.0)))

@@ -54,12 +54,17 @@ def _splitmix64(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
         return z ^ (z >> np.uint64(31))
 
 
-def mix_seed(*parts: int) -> int:
-    """Fold integers into a single 64-bit seed, order-sensitively."""
+def _mix(*parts: int | np.ndarray) -> np.ndarray | np.uint64:
+    """`mix_seed` without the conversion to int; uint64 array parts broadcast."""
     h = np.uint64(0)
     for p in parts:
-        h = _splitmix64(h ^ np.uint64(p & _MASK64))
-    return int(h)
+        h = _splitmix64(h ^ (p if isinstance(p, np.ndarray) else np.uint64(p & _MASK64)))
+    return h
+
+
+def mix_seed(*parts: int) -> int:
+    """Fold integers into a single 64-bit seed, order-sensitively."""
+    return int(_mix(*parts))
 
 
 def _bits_to_unit(bits: np.ndarray | np.uint64):
@@ -170,25 +175,31 @@ def sample_realization(spec: EnsembleSpec, index: int) -> Realization:
     """Draw realization `index` of the ensemble (deterministic in spec.seed)."""
     seed = mix_seed(spec.seed, TAG_REALIZATION, index)
     d = spec.dimension
-    if spec.shift_sampling:
-        y = tuple(
-            float(_bits_to_unit(np.uint64(mix_seed(seed, TAG_OFFSET, axis))))
-            for axis in range(d)
-        )
-    else:
-        y = (0.0,) * d
+    y = tuple(float(v) for v in _offsets(seed, d)) if spec.shift_sampling else (0.0,) * d
     return Realization(spec=spec, seed=seed, offset=y, translation=(0.0,) * d, period=spec.period)
 
 
-def _cell_values(r: Realization, cells: np.ndarray) -> np.ndarray:
-    """Hash integer cell indices (..., d) to coefficient values."""
-    if r.period is not None:
-        cells = np.mod(cells, r.period)
-    h = np.full(cells.shape[:-1], np.uint64(r.seed), dtype=np.uint64)
+def _offsets(seed: int | np.ndarray, d: int) -> np.ndarray:
+    """Lattice offsets y of the realizations with these seeds, (...) -> (..., d)."""
+    axes = np.arange(d, dtype=np.uint64)
+    return _bits_to_unit(_mix(np.asarray(seed, dtype=np.uint64)[..., None], TAG_OFFSET, axes))
+
+
+def _cell_values(
+    dist: CellDistribution, seed: int | np.ndarray, period: int | None, cells: np.ndarray
+) -> np.ndarray:
+    """Hash integer cell indices (..., d) to values of `dist`.
+
+    `seed` is a realization seed, or a uint64 array of them broadcasting
+    against cells.shape[:-1].
+    """
+    if period is not None:
+        cells = np.mod(cells, period)
+    h = np.broadcast_to(np.asarray(seed, dtype=np.uint64), cells.shape[:-1])
     for axis in range(cells.shape[-1]):
         c = np.asarray(cells[..., axis], dtype=np.int64).view(np.uint64)
         h = _splitmix64(h ^ c)
-    return r.spec.cells.from_unit(_bits_to_unit(h))
+    return dist.from_unit(_bits_to_unit(h))
 
 
 def eval_coefficient(r: Realization, x: Sequence[float] | np.ndarray) -> np.ndarray | float:
@@ -204,7 +215,7 @@ def eval_coefficient(r: Realization, x: Sequence[float] | np.ndarray) -> np.ndar
     if not np.all(np.isfinite(pts)):
         raise ValueError("evaluation points must be finite")
     rel = pts + np.asarray(r.translation) - np.asarray(r.offset)
-    vals = _cell_values(r, np.floor(rel).astype(np.int64))
+    vals = _cell_values(r.spec.cells, r.seed, r.period, np.floor(rel).astype(np.int64))
     return float(vals) if scalar else vals
 
 

@@ -6,13 +6,15 @@ on the deviation of each realization's gradient from the empirical mean
 gradient), and the periodic cell problems that produce effective integrand
 values and correctors on representative volumes.
 
-The energy alone picks the minimizer, with no override.  p = 2 problems
-without a variance penalty go through conjugate gradients on the weighted P1
+The energy alone picks the minimizer, with no override.  Every p = 2 energy
+is quadratic and goes through conjugate gradients on the weighted P1
 stiffness (a 3-/5-point grid stencil, never assembled), preconditioned by
 the exact unit-coefficient inverse (DST-I for zero trace, FFT on the torus),
-so the iteration count does not grow with the mesh; everything else is
-minimized by Polak-Ribiere nonlinear CG with Armijo backtracking on the
-reduced (constrained) variables.  Every inner product, norm and quadrature
+so the iteration count does not grow with the mesh.  A variance penalty
+couples the realizations into one stacked system, preconditioned by the
+block-spectral inverse of `_coupled_pcg`.  p != 2 energies are minimized by
+Polak-Ribiere nonlinear CG with Armijo backtracking on the reduced
+(constrained) variables.  Every inner product, norm and quadrature
 sum goes through the fixed-order `meshing._dot`, never BLAS, so results do
 not depend on the BLAS thread count.
 """
@@ -186,14 +188,18 @@ class _Objective:
         return _leg_sums(self.mesh, np.broadcast_to(a, a.shape[:-1] + (self.d,)))
 
     def stiffness(self, w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """Matvec of the reduced P1 stiffness of the element weights w (one per element)."""
+        """Matvec of the reduced P1 stiffness of the element weights w (..., n_elements).
+
+        A leading realization axis of w applies realization i's stiffness to row i.
+        """
         edges = self._edge_weights(w)
         grid = (self.mesh.n + 1,) * self.d
 
         def apply(z: np.ndarray) -> np.ndarray:
-            u = self.constraint.expand(z).reshape(grid)
+            lead = z.shape[:-1]
+            u = self.constraint.expand(z).reshape(lead + grid)
             Ku = _to_nodes([c * np.diff(u, axis=-1 - a) for a, c in enumerate(edges)])
-            return self.constraint.reduce_adjoint(Ku.reshape(-1))
+            return self.constraint.reduce_adjoint(Ku.reshape(lead + (-1,)))
 
         return apply
 
@@ -274,7 +280,7 @@ def _laplacian_inverse(mesh: Mesh, kind: str) -> Callable[[np.ndarray], np.ndarr
     DST-I on the (n-1)^d interior grid, eigenvalues
     sum_axes (2 - 2 cos(pi j / n)); the torus by the FFT on the n^d grid,
     eigenvalues sum_axes (2 - 2 cos(2 pi j / n)), with the constant mode
-    (the kernel) sent to 0.
+    (the kernel) sent to 0.  Leading axes of the argument are batched.
     """
     n, d = mesh.n, mesh.dimension
     scale = mesh.h ** (d - 2)
@@ -285,20 +291,21 @@ def _laplacian_inverse(mesh: Mesh, kind: str) -> Callable[[np.ndarray], np.ndarr
         # DST-I squared is (n/2) times the identity along each axis
         inv = (2.0 / n) ** d / eig
 
-        # transform along the last axis, then transpose to bring up the next;
-        # after d passes the axes are back in order (d <= 2)
+        # transform along the last axis, then swap the last two to bring up
+        # the next; after d passes the axes are back in order (d <= 2)
+        def transform(y: np.ndarray) -> np.ndarray:
+            for _ in range(d):
+                y = _dst1(y)
+                if d == 2:
+                    y = y.swapaxes(-1, -2)
+            return y
+
         def apply(r: np.ndarray) -> np.ndarray:
-            y = r.reshape(shape)
-            for _ in range(d):
-                y = _dst1(y).T
-            y = y * inv
-            for _ in range(d):
-                y = _dst1(y).T
-            return y.ravel()
+            return transform(transform(r.reshape(r.shape[:-1] + shape)) * inv).reshape(r.shape)
 
         return apply
     shape = (n,) * d
-    axes = tuple(range(d))
+    axes = tuple(range(-d, 0))
     lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
     grids = [lam] * (d - 1) + [lam[: n // 2 + 1]]  # rfftn halves the last axis
     eig = scale * sum(np.ix_(*grids))
@@ -306,8 +313,8 @@ def _laplacian_inverse(mesh: Mesh, kind: str) -> Callable[[np.ndarray], np.ndarr
     np.divide(1.0, eig, out=inv, where=eig > 0)
 
     def apply(r: np.ndarray) -> np.ndarray:
-        y = np.fft.rfftn(r.reshape(shape), axes=axes) * inv
-        return np.fft.irfftn(y, s=shape, axes=axes).ravel()
+        y = np.fft.rfftn(r.reshape(r.shape[:-1] + shape), axes=axes) * inv
+        return np.fft.irfftn(y, s=shape, axes=axes).reshape(r.shape)
 
     return apply
 
@@ -328,7 +335,8 @@ def _pcg(
 
     `A` and `precond` are matvecs: the SPD matrix (`_Objective.stiffness`) and
     an SPD approximation of its inverse (on the torus, of its pseudo-inverse
-    on mean-zero vectors); `_linear_spd_solve` passes `_laplacian_inverse`.
+    on mean-zero vectors): `_laplacian_inverse`, or its block form in
+    `_coupled_pcg`.
     """
     bnorm = _norm(b)
     x = np.zeros_like(b)
@@ -428,7 +436,12 @@ def _ncg(fun, x0: np.ndarray, tol: float, max_iter: int, precond: np.ndarray):
 
 
 def _linear_spd_solve(obj: _Objective, tol: float, max_iter: int):
-    """p = 2, no coupling: solve each realization's SPD system by spectral PCG."""
+    """p = 2: the energy is quadratic, so its minimizer solves an SPD system.
+
+    Without a variance penalty each realization's system is solved on its
+    own by spectral PCG; the penalty couples them into one stacked system
+    (`_coupled_pcg`).
+    """
     E = obj.E
     extra = 2.0 * E.delta if obj.corrector else 0.0
     rhs = np.broadcast_to(obj.load_red, (obj.N, obj.n_dofs))
@@ -436,18 +449,61 @@ def _linear_spd_solve(obj: _Objective, tol: float, max_iter: int):
         flux = (obj.vol * E.coef)[..., None] * E.gradient_offset
         rhs = rhs - obj.constraint.reduce_adjoint(_gradient_adjoint(obj.mesh, flux))
     precond = _laplacian_inverse(obj.mesh, E.constraint)
-    runs = [_pcg(obj.stiffness(w + extra), b, tol, max_iter, precond) for w, b in zip(E.coef, rhs)]
-    Z, iters, _, conv = zip(*runs)
-    x = np.concatenate(Z)
+    if obj.variance:
+        x, iters, _, conv = _coupled_pcg(obj, rhs, tol, max_iter, precond)
+    else:
+        runs = [_pcg(obj.stiffness(w + extra), b, tol, max_iter, precond) for w, b in zip(E.coef, rhs)]
+        Z, its, _, convs = zip(*runs)
+        x, iters, conv = np.concatenate(Z), sum(its), all(convs)
     f, g = obj.value_and_grad(x)
-    return x, f, sum(iters), _norm(g), all(conv)
+    return x, f, iters, _norm(g), conv
+
+
+def _coupled_pcg(
+    obj: _Objective,
+    rhs: np.ndarray,
+    tol: float,
+    max_iter: int,
+    precond: Callable[[np.ndarray], np.ndarray],
+):
+    """The variance-coupled p = 2 system of all N realizations, by one PCG.
+
+    With realization weights w (summing to 1) and zbar = sum_j w_j z_j, the
+    stationarity conditions times w_i are the symmetric stacked system
+    w_i [K(a_i) z_i + 2 delta K_1 (z_i - zbar)] = w_i b_i.  Replacing K(a_i)
+    by abar_i K_1, abar_i realization i's geometric-mean weight, gives the
+    block-spectral preconditioner [diag(w abar) + 2 delta (diag(w) - w w^T)]^-1
+    (x) K_1^-1, exact when each realization's weight is constant.  Its N x N
+    factor is applied by Sherman-Morrison: D = diag(w (abar + 2 delta)) minus
+    a rank-one term, elementwise and by `_dot`, never a dense inverse.
+    """
+    E, N, n = obj.E, obj.N, obj.n_dofs
+    w, two_delta = E.weights, 2.0 * E.delta
+    K = obj.stiffness(E.coef + two_delta)
+    K1 = obj.stiffness(np.ones(obj.mesh.n_elements))
+    abar = np.exp(np.log(E.coef).mean(axis=-1))
+    c = 1.0 / (abar + two_delta)  # D^-1 w
+    d_inv = (c / w)[:, None]
+    # Sherman-Morrison's 1 - 2 delta w^T D^-1 w is sum_i w_i abar_i c_i
+    # (the weights sum to 1), which has no cancellation
+    gamma_c = (two_delta / float(_dot(w, abar * c)) * c)[:, None]
+
+    def A(x: np.ndarray) -> np.ndarray:
+        Z = x.reshape(N, n)
+        return (w[:, None] * (K(Z) - two_delta * K1(_dot(w, Z)))).ravel()
+
+    def P(r: np.ndarray) -> np.ndarray:
+        Y = precond(r.reshape(N, n))
+        return (d_inv * Y + gamma_c * _dot(c, Y)).ravel()
+
+    return _pcg(A, (w[:, None] * rhs).ravel(), tol, max_iter, P)
 
 
 def _solve(E: EnergyFunctional, tol: float, max_iter: int) -> MinimizeResult:
-    """Minimize E by linear CG (uncoupled p = 2) or nonlinear CG; see `minimize`."""
+    """Minimize E by linear CG (p = 2) or nonlinear CG; see `minimize`."""
     t0 = time.perf_counter()
     obj = _Objective(E)
-    if E.integrand.p == 2.0 and not obj.variance:
+    if E.integrand.p == 2.0:
         x, f, iters, gnorm, conv = _linear_spd_solve(obj, tol, max_iter)
     else:
         x0 = np.zeros(obj.N * obj.n_dofs)
@@ -474,8 +530,9 @@ def _solve(E: EnergyFunctional, tol: float, max_iter: int) -> MinimizeResult:
 def minimize(E: EnergyFunctional, tol: float = 1e-8, max_iter: int = 20_000) -> MinimizeResult:
     """Minimize the energy over its constrained fields.
 
-    The energy picks the path, with no override: linear CG for p = 2 without
-    a variance penalty, nonlinear CG otherwise.
+    The energy picks the path, with no override: linear CG for p = 2 (one
+    stacked, block-preconditioned system under a variance penalty),
+    nonlinear CG otherwise.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

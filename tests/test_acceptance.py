@@ -285,8 +285,8 @@ def test_criterion_08_quenched_vs_mean_consistency(qvm_report):
 
 def test_criterion_09_solver_correctness():
     t0 = time.perf_counter()
-    # 2D nonlinear CG (monotone decrease asserted inside): three identical
-    # realizations under a variance penalty share the linear-CG minimizer of one
+    # 2D coupled block-spectral CG: three identical realizations under a
+    # variance penalty share the linear-CG minimizer of one
     r = sample_realization(CB2, 0)
     mesh = build_mesh(2, 32)
     single = minimize(assemble_energy([r], 1 / 8, mesh, V2, load=1.0), tol=1e-10)
@@ -294,7 +294,8 @@ def test_criterion_09_solver_correctness():
         assemble_energy([r, r, r], 1 / 8, mesh, V2, load=1.0, delta=0.5), tol=1e-10
     )
     gap = abs(single.energy - coupled.energy)
-    # 1D, both paths, against the exact discrete minimum (flux integration)
+    # 1D, nonlinear CG (p != 2; monotone decrease asserted inside) and linear
+    # CG, against the exact discrete minimum (flux integration)
     m1 = build_mesh(1, 16)
     for p in (1.5, 2.0, 3.0):
         E = assemble_energy([sample_realization(CB1, 0)], 1 / 4, m1, IntegrandSpec(p=p), load=1.0)
@@ -318,7 +319,7 @@ def test_criterion_09_solver_correctness():
     ok = gap <= 1e-8 and bool(second_order)
     report(
         9,
-        "ncg == cg and exact 1D minima to 1e-8, monotone energy, h^2 convergence",
+        "coupled == single CG and exact 1D minima to 1e-8, monotone energy, h^2 convergence",
         ok,
         f"|gap| {gap:.1e}, rates {[f'{x:.2f}' for x in rates]}, {elapsed:.0f}s",
     )

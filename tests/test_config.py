@@ -120,6 +120,13 @@ class TestValidation:
             "[solver]\ntol = -1\n",
             "[solver]\nn_per_cell = 2\n",
             "[solver]\nmax_iter = 0\n",
+            "[solver]\nfine_n = 1\n",
+            "[dictionary]\ncosine_degree = -1\n",
+            "[dictionary]\nprobe_radius = -1\n",
+            "[dictionary]\nmax_entries = 0\n",
+            "[dictionary]\nmc_samples = -1\n",
+            "[study]\nL = 2.7\n",
+            "[study]\nkind = cell\nL = 4, 8.5\n",
         ],
     )
     def test_rejected(self, text):

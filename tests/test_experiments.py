@@ -529,12 +529,37 @@ n_realizations = 1
 F = 1, 0
 """
 
+# variance-coupled p = 2 solves of 32 stacked realizations
+_BLAS_DIAGRAM = """
+[ensemble]
+dimension = 1
+values = 1
+probs = 1
+seed = 21
+
+[integrand]
+form = degenerate-weighted
+p = 2
+lambda_values = 0.05, 1
+lambda_probs = 0.5, 0.5
+
+[study]
+eps = 1/16
+delta = 0.2, 0.05, 0.0125
+L = 16
+n_realizations = 32
+"""
+
 
 class TestBlasThreadIndependence:
     @pytest.mark.parametrize(
         "command, config, table",
-        [("sweep", _BLAS_SWEEP, "report.csv"), ("cell", _BLAS_CELL, "cell.csv")],
-        ids=["sweep", "cell"],
+        [
+            ("sweep", _BLAS_SWEEP, "report.csv"),
+            ("cell", _BLAS_CELL, "cell.csv"),
+            ("diagram", _BLAS_DIAGRAM, "report.csv"),
+        ],
+        ids=["sweep", "cell", "diagram"],
     )
     def test_outputs_identical_for_one_and_two_blas_threads(
         self, tmp_path, command, config, table

@@ -1,5 +1,7 @@
 """Densities: values, analytic gradients vs finite differences, growth, moments."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,13 @@ from homoglab.integrand import (
     moment_estimate,
     verify_growth,
 )
-from homoglab.medium import DiscreteValues, EnsembleSpec, UniformValues, sample_realization
+from homoglab.medium import (
+    DiscreteValues,
+    EnsembleSpec,
+    UniformValues,
+    mix_seed,
+    sample_realization,
+)
 
 ONE = EnsembleSpec(dimension=2, cells=DiscreteValues((1.0,), (1.0,)), seed=1)
 TWO = EnsembleSpec(dimension=2, cells=DiscreteValues((2.0,), (1.0,)), seed=1)
@@ -129,7 +137,57 @@ class TestGradient:
             assert np.linalg.norm(g - fd) <= 1e-6 * max(np.linalg.norm(fd), 1e-12)
 
 
+def _growth_by_loop(spec, ensemble, n):
+    """verify_growth's (c_low, c_high), one realization and density call per sample."""
+    rng = np.random.default_rng(mix_seed(ensemble.seed, 0x47524F57))
+    d = ensemble.dimension
+    x = rng.uniform(0.0, 1.0, size=(n, d))
+    mag = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=n))
+    dirs = rng.normal(size=(n, d))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    F = mag[:, None] * dirs
+    idx = rng.integers(0, 2**31, size=n)
+    vals = np.empty(n)
+    for i in range(n):
+        r = sample_realization(ensemble, int(idx[i]))
+        vals[i] = evaluate_density(spec, r, x[i : i + 1], F[i : i + 1])[0]
+    t = mag**spec.p / spec.p
+    return (
+        float(np.max(0.5 * (-vals + np.sqrt(vals**2 + 4.0 * t)))),
+        float(np.max(vals / (t + 1.0))),
+    )
+
+
+_LAM2 = EnsembleSpec(dimension=2, cells=UniformValues(0.0, 1.0), seed=2)
+_GROWTH_CASES = {
+    "1d": (IntegrandSpec(p=2.0), replace(CB, dimension=1)),
+    "2d-unshifted": (IntegrandSpec(p=1.5), replace(CB, shift_sampling=False)),
+    "2d-degenerate": (IntegrandSpec(p=3.0, form=FORM_DEGENERATE, lambda_cells=_LAM2), CB),
+    "1d-periodic-degenerate": (
+        IntegrandSpec(
+            p=2.0,
+            form=FORM_DEGENERATE,
+            lambda_cells=EnsembleSpec(dimension=1, cells=DiscreteValues((0.05, 1.0), (0.5, 0.5))),
+        ),
+        EnsembleSpec(dimension=1, cells=UniformValues(0.5, 2.0), period=2, seed=4),
+    ),
+    "2d-periodic-degenerate": (
+        IntegrandSpec(p=2.5, form=FORM_DEGENERATE, lambda_cells=replace(_LAM2, period=3)),
+        EnsembleSpec(dimension=2, cells=UniformValues(0.1, 3.0), period=4, seed=3),
+    ),
+}
+
+
 class TestGrowth:
+    @pytest.mark.parametrize("case", list(_GROWTH_CASES))
+    def test_matches_per_sample_loop(self, case):
+        # one large draw, and single draws whose constants are one sample's
+        spec, ensemble = _GROWTH_CASES[case]
+        for n, seed in [(2000, ensemble.seed)] + [(1, s) for s in range(30)]:
+            ens = replace(ensemble, seed=seed)
+            rep = verify_growth(spec, ens, n)
+            assert (rep.c_low, rep.c_high) == _growth_by_loop(spec, ens, n)
+
     def test_unit_coefficient_constants_near_one(self):
         rep = verify_growth(IntegrandSpec(p=2.0), ONE, 2000)
         assert rep.c_low == pytest.approx(1.0, abs=5e-3)

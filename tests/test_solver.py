@@ -184,10 +184,10 @@ class TestMinimize:
         rates = np.log2(errs[:-1] / errs[1:])
         assert np.all(np.abs(rates - 2.0) < 0.1)
 
-    def test_ncg_matches_cg_on_random_two_phase(self):
+    def test_coupled_identical_realizations_match_spsolve(self):
         # three identical realizations under a variance penalty take the
-        # nonlinear path; the penalty vanishes at their common minimizer, so
-        # the energy is the single realization's direct-solve energy
+        # coupled linear path; the penalty vanishes at their common minimizer,
+        # so the energy is the single realization's direct-solve energy
         r = sample_realization(CB2, 0)
         mesh = build_mesh(2, 32)
         E = assemble_energy([r, r, r], 1 / 8, mesh, V2, load=1.0, delta=0.5)
@@ -281,6 +281,42 @@ class TestCoupled:
             minimize(
                 assemble_energy([unit_realization()], 1.0, mesh, V2, load=1.0, delta=0.1)
             )
+
+
+class TestCoupledPCG:
+    """Variance-coupled p = 2 solves: one stacked PCG, block-spectral preconditioner."""
+
+    @pytest.mark.parametrize("d, n", [(1, 64), (1, 512), (1, 4096), (2, 32), (2, 64), (2, 128)])
+    def test_iterations_do_not_grow(self, d, n):
+        spec = CB1 if d == 1 else CB2
+        reals = [sample_realization(spec, i) for i in range(8)]
+        mesh = build_mesh(d, n)
+        for delta in (0.0125, 0.2, 2.0):
+            res = minimize(assemble_energy(reals, 1 / 8, mesh, V2, load=1.0, delta=delta))
+            assert res.converged and res.iterations <= 40
+
+    @pytest.mark.parametrize("delta", [0.05, 0.5])
+    def test_energy_matches_stacked_spsolve(self, delta):
+        reals = [sample_realization(CB2, i) for i in range(3)]
+        mesh = build_mesh(2, 32)
+        E = assemble_energy(reals, 1 / 8, mesh, V2, load=1.0, delta=delta)
+        res = minimize(E, tol=1e-10)
+        assert res.converged
+        # sum_i w_i (z_i' K(a_i) z_i / 2 - f' z_i) + delta sum_i w_i |grad(z_i - zbar)|^2
+        # is z' A z / 2 - b' z with A = blockdiag(w_i K(a_i + 2 delta)) - 2 delta w w' (x) K(1)
+        interior = ~mesh.boundary
+        m = int(interior.sum())
+        dof = _dof_map(mesh, "dirichlet-zero")
+        w = E.weights
+        blocks = [w[i] * _p1_stiffness(mesh, a + 2.0 * delta, dof, m) for i, a in enumerate(E.coef)]
+        K1 = _p1_stiffness(mesh, np.ones(mesh.n_elements), dof, m)
+        A = sp.block_diag(blocks) - 2.0 * delta * sp.kron(np.outer(w, w), K1)
+        _, area = _barycentric_gradients(mesh)
+        f = np.zeros(mesh.n_nodes)
+        np.add.at(f, mesh.elements, area[:, None] / 3.0)
+        b = np.concatenate([wi * f[interior] for wi in w])
+        exact = -0.5 * float(b @ spla.spsolve(A.tocsc(), b))
+        assert res.energy == pytest.approx(exact, rel=1e-10, abs=0)
 
 
 class TestCellProblem:
@@ -580,6 +616,34 @@ class TestExact1D:
             res = cell_problem(r, 64, V, [1.0], delta=delta, n_per_cell=8)
             assert res.converged
             assert res.value == pytest.approx(cell_energy(a, 1.0, 2.0, delta), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_2d_laminate_cell_reduces_to_1d(self, p):
+        # 2D nonlinear CG on the torus: a weight that varies only along x
+        # (one value per column of elements) has a y-independent minimizer,
+        # whose two triangles per square both carry the 1D slope
+        L, n = 2, 16
+        mesh = build_mesh(2, n, size=float(L))
+        columns = np.random.default_rng(5).choice([1.0, 4.0], size=n)
+        coef = columns[np.floor(mesh.barycenters[:, 0] / mesh.h).astype(int)]
+        V = IntegrandSpec(p=p)
+        E = solver_mod.EnergyFunctional(
+            realizations=[unit_realization(2)],
+            weights=np.ones(1),
+            eps=1.0,
+            mesh=mesh,
+            integrand=V,
+            coef=coef[None, :],
+            load_values=np.zeros(mesh.n_elements),
+            delta=0.0,
+            constraint="periodic-mean-zero",
+            gradient_offset=np.broadcast_to([1.0, 0.0], (mesh.n_elements, 2)).copy(),
+            penalty="corrector",
+            scale=1.0 / L**2,
+        )
+        res = minimize(E, tol=1e-9)
+        assert res.converged
+        assert res.energy == pytest.approx(cell_energy(columns, 1.0, p), rel=1e-12, abs=0)
 
     def test_oracle_closed_forms(self):
         # constant weight: no corrector, value a |F|^p / p at every delta;
