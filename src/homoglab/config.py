@@ -231,6 +231,11 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
             raise ConfigError("eps must be positive and delta nonnegative")
         if any(L < 1 for L in L_list):
             raise ConfigError("L must be >= 1")
+        for name, values in (("eps", eps_list), ("delta", delta_list), ("L", L_list)):
+            if len(set(values)) != len(values):
+                raise ConfigError(f"repeated entry in the {name} list")
+        if kind == "diagram" and 0.0 in delta_list:
+            raise ConfigError("a diagram adds the delta = 0 column itself: leave 0 out of delta")
         if ensemble.period is not None and kind in ("sweep", "diagram", "cell"):
             # sweep and diagram solve their cell problems on max(L), cell on every L
             cell_L = L_list if kind == "cell" else (max(L_list),)

@@ -7,12 +7,11 @@ gradient), and the periodic cell problems that produce effective integrand
 values and correctors on representative volumes.
 
 The energy alone picks the minimizer, with no override.  Every p = 2 energy
-is quadratic and goes through conjugate gradients on the weighted P1
-stiffness (a 3-/5-point grid stencil, never assembled), preconditioned by
-the exact unit-coefficient inverse (DST-I for zero trace, FFT on the torus),
-so the iteration count does not grow with the mesh.  A variance penalty
-couples the realizations into one stacked system, preconditioned by the
-block-spectral inverse of `_coupled_pcg`.  p != 2 energies are minimized by
+is quadratic: its N realizations form one stacked system, solved by one
+conjugate-gradient run on the weighted P1 stiffness (a 3-/5-point grid
+stencil, never assembled), block-preconditioned by the exact unit-coefficient
+inverse (DST-I for zero trace, FFT on the torus), so the iteration count does
+not grow with the mesh (`_linear_spd_solve`).  p != 2 energies are minimized by
 Polak-Ribiere nonlinear CG with Armijo backtracking on the reduced
 (constrained) variables.  Every inner product, norm and quadrature
 sum goes through the fixed-order `meshing._dot`, never BLAS, so results do
@@ -272,24 +271,28 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     return -0.5 * np.fft.rfft(odd, axis=-1).imag[..., 1 : m + 1]
 
 
-def _laplacian_inverse(mesh: Mesh, kind: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact inverse of the unit-coefficient reduced stiffness of `mesh`.
+def _laplacian_inverse(
+    mesh: Mesh, kind: str, scale: float | np.ndarray = 1.0
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact inverse of the unit-coefficient reduced stiffness of `mesh`, times `scale`.
 
     On the uniform box the P1 stiffness of the unit weight is h^(d-2) times
     the 3-point (1D) or 5-point (2D) stencil.  Zero trace diagonalizes it by
     DST-I on the (n-1)^d interior grid, eigenvalues
     sum_axes (2 - 2 cos(pi j / n)); the torus by the FFT on the n^d grid,
     eigenvalues sum_axes (2 - 2 cos(2 pi j / n)), with the constant mode
-    (the kernel) sent to 0.  Leading axes of the argument are batched.
+    (the kernel) sent to 0.  Leading axes of the argument are batched; an
+    array `scale` (N,) multiplies row i of a leading length-N axis by scale[i]
+    inside the spectral multiplier, at no extra pass.
     """
     n, d = mesh.n, mesh.dimension
-    scale = mesh.h ** (d - 2)
+    hd = mesh.h ** (d - 2)
     if kind == DIRICHLET_ZERO:
         shape = (n - 1,) * d
         lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n) / n)
-        eig = scale * sum(np.ix_(*([lam] * d)))
+        eig = hd * sum(np.ix_(*([lam] * d)))
         # DST-I squared is (n/2) times the identity along each axis
-        inv = (2.0 / n) ** d / eig
+        inv = np.multiply.outer(scale, (2.0 / n) ** d / eig)
 
         # transform along the last axis, then swap the last two to bring up
         # the next; after d passes the axes are back in order (d <= 2)
@@ -308,9 +311,10 @@ def _laplacian_inverse(mesh: Mesh, kind: str) -> Callable[[np.ndarray], np.ndarr
     axes = tuple(range(-d, 0))
     lam = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
     grids = [lam] * (d - 1) + [lam[: n // 2 + 1]]  # rfftn halves the last axis
-    eig = scale * sum(np.ix_(*grids))
+    eig = hd * sum(np.ix_(*grids))
     inv = np.zeros_like(eig)
     np.divide(1.0, eig, out=inv, where=eig > 0)
+    inv = np.multiply.outer(scale, inv)
 
     def apply(r: np.ndarray) -> np.ndarray:
         y = np.fft.rfftn(r.reshape(r.shape[:-1] + shape), axes=axes) * inv
@@ -333,10 +337,10 @@ def _pcg(
 ):
     """Preconditioned conjugate gradients, relative residual stop.
 
-    `A` and `precond` are matvecs: the SPD matrix (`_Objective.stiffness`) and
-    an SPD approximation of its inverse (on the torus, of its pseudo-inverse
-    on mean-zero vectors): `_laplacian_inverse`, or its block form in
-    `_coupled_pcg`.
+    `A` and `precond` are matvecs: the SPD matrix and an SPD approximation of
+    its inverse (on the torus, of its pseudo-inverse on mean-zero vectors),
+    here the stacked stiffness and the block-spectral inverse of
+    `_linear_spd_solve`.
     """
     bnorm = _norm(b)
     x = np.zeros_like(b)
@@ -436,75 +440,64 @@ def _ncg(fun, x0: np.ndarray, tol: float, max_iter: int, precond: np.ndarray):
 
 
 def _linear_spd_solve(obj: _Objective, tol: float, max_iter: int):
-    """p = 2: the energy is quadratic, so its minimizer solves an SPD system.
+    """p = 2: the energy is quadratic, so its minimizer solves one SPD system.
 
-    Without a variance penalty each realization's system is solved on its
-    own by spectral PCG; the penalty couples them into one stacked system
-    (`_coupled_pcg`).
+    With realization weights w (summing to 1) and zbar = sum_j w_j z_j, the
+    stationarity conditions of all N realizations times w_i are the symmetric
+    stacked system w_i [K(a_i + e) z_i - c K_1 zbar] = w_i b_i, e = 2 delta
+    under either penalty and c = 2 delta under the variance penalty only
+    (c = 0 otherwise), solved by one PCG.  Replacing K(a_i) by abar_i K_1,
+    abar_i realization i's geometric-mean weight, gives the block-spectral
+    preconditioner [diag(w (abar + e)) - c w w^T]^-1 (x) K_1^-1, exact when
+    each realization's weight is constant.  w is folded into the stiffness
+    edge weights and 1 / (w (abar + e)) into the spectral multiplier; for
+    c > 0 the rank-one term is applied by Sherman-Morrison, elementwise and
+    by `_dot`, never a dense inverse.
     """
-    E = obj.E
-    extra = 2.0 * E.delta if obj.corrector else 0.0
-    rhs = np.broadcast_to(obj.load_red, (obj.N, obj.n_dofs))
+    E, N, n = obj.E, obj.N, obj.n_dofs
+    w, e = E.weights, 2.0 * E.delta  # delta > 0 means one of the two penalties
+    c = e if obj.variance else 0.0
+    rhs = np.broadcast_to(obj.load_red, (N, n))
     if E.gradient_offset is not None:
         flux = (obj.vol * E.coef)[..., None] * E.gradient_offset
         rhs = rhs - obj.constraint.reduce_adjoint(_gradient_adjoint(obj.mesh, flux))
-    precond = _laplacian_inverse(obj.mesh, E.constraint)
-    if obj.variance:
-        x, iters, _, conv = _coupled_pcg(obj, rhs, tol, max_iter, precond)
-    else:
-        runs = [_pcg(obj.stiffness(w + extra), b, tol, max_iter, precond) for w, b in zip(E.coef, rhs)]
-        Z, its, _, convs = zip(*runs)
-        x, iters, conv = np.concatenate(Z), sum(its), all(convs)
-    f, g = obj.value_and_grad(x)
-    return x, f, iters, _norm(g), conv
-
-
-def _coupled_pcg(
-    obj: _Objective,
-    rhs: np.ndarray,
-    tol: float,
-    max_iter: int,
-    precond: Callable[[np.ndarray], np.ndarray],
-):
-    """The variance-coupled p = 2 system of all N realizations, by one PCG.
-
-    With realization weights w (summing to 1) and zbar = sum_j w_j z_j, the
-    stationarity conditions times w_i are the symmetric stacked system
-    w_i [K(a_i) z_i + 2 delta K_1 (z_i - zbar)] = w_i b_i.  Replacing K(a_i)
-    by abar_i K_1, abar_i realization i's geometric-mean weight, gives the
-    block-spectral preconditioner [diag(w abar) + 2 delta (diag(w) - w w^T)]^-1
-    (x) K_1^-1, exact when each realization's weight is constant.  Its N x N
-    factor is applied by Sherman-Morrison: D = diag(w (abar + 2 delta)) minus
-    a rank-one term, elementwise and by `_dot`, never a dense inverse.
-    """
-    E, N, n = obj.E, obj.N, obj.n_dofs
-    w, two_delta = E.weights, 2.0 * E.delta
-    K = obj.stiffness(E.coef + two_delta)
-    K1 = obj.stiffness(np.ones(obj.mesh.n_elements))
+    K = obj.stiffness(w[:, None] * (E.coef + e))
     abar = np.exp(np.log(E.coef).mean(axis=-1))
-    c = 1.0 / (abar + two_delta)  # D^-1 w
-    d_inv = (c / w)[:, None]
-    # Sherman-Morrison's 1 - 2 delta w^T D^-1 w is sum_i w_i abar_i c_i
-    # (the weights sum to 1), which has no cancellation
-    gamma_c = (two_delta / float(_dot(w, abar * c)) * c)[:, None]
+    q = 1.0 / (abar + e)  # D^-1 w, D = diag(w (abar + e))
+    precond = _laplacian_inverse(obj.mesh, E.constraint, q / w)
+    if c > 0:
+        Kc = obj.stiffness(np.full(obj.mesh.n_elements, c))
+        # Sherman-Morrison's 1 - c w^T D^-1 w is sum_i w_i abar_i q_i (c = e,
+        # the weights sum to 1), which has no cancellation
+        gamma_q = (c / float(_dot(w, abar * q)) * q)[:, None]
 
     def A(x: np.ndarray) -> np.ndarray:
         Z = x.reshape(N, n)
-        return (w[:, None] * (K(Z) - two_delta * K1(_dot(w, Z)))).ravel()
+        KZ = K(Z)
+        if c > 0:
+            KZ = KZ - w[:, None] * Kc(_dot(w, Z))
+        return KZ.ravel()
 
     def P(r: np.ndarray) -> np.ndarray:
         Y = precond(r.reshape(N, n))
-        return (d_inv * Y + gamma_c * _dot(c, Y)).ravel()
+        if c > 0:
+            Y = Y + gamma_q * _dot(w, Y)
+        return Y.ravel()
 
-    return _pcg(A, (w[:, None] * rhs).ravel(), tol, max_iter, P)
+    x, iters, _, conv = _pcg(A, (w[:, None] * rhs).ravel(), tol, max_iter, P)
+    return x, iters, conv
 
 
 def _solve(E: EnergyFunctional, tol: float, max_iter: int) -> MinimizeResult:
     """Minimize E by linear CG (p = 2) or nonlinear CG; see `minimize`."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     t0 = time.perf_counter()
     obj = _Objective(E)
     if E.integrand.p == 2.0:
-        x, f, iters, gnorm, conv = _linear_spd_solve(obj, tol, max_iter)
+        x, iters, conv = _linear_spd_solve(obj, tol, max_iter)
+        f, g = obj.value_and_grad(x)
+        gnorm = _norm(g)
     else:
         x0 = np.zeros(obj.N * obj.n_dofs)
         x, f, iters, gnorm, conv = _ncg(
@@ -531,11 +524,9 @@ def minimize(E: EnergyFunctional, tol: float = 1e-8, max_iter: int = 20_000) -> 
     """Minimize the energy over its constrained fields.
 
     The energy picks the path, with no override: linear CG for p = 2 (one
-    stacked, block-preconditioned system under a variance penalty),
-    nonlinear CG otherwise.
+    stacked, block-preconditioned system of all realizations), nonlinear CG
+    otherwise.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     return _solve(E, tol, max_iter)
 
 
@@ -569,6 +560,8 @@ def cell_problem(
         raise ValueError("L must be >= 1")
     if n_per_cell < 4:
         raise ValueError("need at least 4 subdivisions per unit cell")
+    if not (np.isfinite(delta) and delta >= 0):
+        raise ValueError("delta must be finite and nonnegative")
     F = np.asarray(F, dtype=float)
     if F.shape != (r.dimension,) or not np.all(np.isfinite(F)):
         raise ValueError("F must be a finite vector matching the dimension")
@@ -641,8 +634,6 @@ def effective_integrand(
         cells = []
         for s in range(n_samples):
             r = sample_realization(ensemble, s)
-            if r.period is not None and r.period != L:
-                raise ValueError("ensemble period conflicts with requested L")
             res = cell_problem(
                 r, L, integrand, F, delta=delta, n_per_cell=n_per_cell, tol=tol, max_iter=max_iter
             )

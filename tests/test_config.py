@@ -127,6 +127,11 @@ class TestValidation:
             "[dictionary]\nmc_samples = -1\n",
             "[study]\nL = 2.7\n",
             "[study]\nkind = cell\nL = 4, 8.5\n",
+            "[study]\nkind = diagram\ndelta = 0.1, 0\n",
+            "[study]\nkind = diagram\ndelta = 0.2, 0.05, 0.2\n",
+            "[study]\nkind = cell\ndelta = 0, 0.1, 0\n",
+            "[study]\neps = 1/8, 0.125\n",
+            "[study]\nL = 8, 4, 8\n",
         ],
     )
     def test_rejected(self, text):

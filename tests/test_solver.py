@@ -284,18 +284,19 @@ class TestCoupled:
 
 
 class TestCoupledPCG:
-    """Variance-coupled p = 2 solves: one stacked PCG, block-spectral preconditioner."""
+    """Sample-averaged p = 2 solves, coupled (delta > 0) or not (delta = 0): one
+    stacked PCG over all realizations, block-spectral preconditioner."""
 
     @pytest.mark.parametrize("d, n", [(1, 64), (1, 512), (1, 4096), (2, 32), (2, 64), (2, 128)])
     def test_iterations_do_not_grow(self, d, n):
         spec = CB1 if d == 1 else CB2
         reals = [sample_realization(spec, i) for i in range(8)]
         mesh = build_mesh(d, n)
-        for delta in (0.0125, 0.2, 2.0):
+        for delta in (0.0, 0.0125, 0.2, 2.0):
             res = minimize(assemble_energy(reals, 1 / 8, mesh, V2, load=1.0, delta=delta))
             assert res.converged and res.iterations <= 40
 
-    @pytest.mark.parametrize("delta", [0.05, 0.5])
+    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.5])
     def test_energy_matches_stacked_spsolve(self, delta):
         reals = [sample_realization(CB2, i) for i in range(3)]
         mesh = build_mesh(2, 32)
@@ -303,7 +304,8 @@ class TestCoupledPCG:
         res = minimize(E, tol=1e-10)
         assert res.converged
         # sum_i w_i (z_i' K(a_i) z_i / 2 - f' z_i) + delta sum_i w_i |grad(z_i - zbar)|^2
-        # is z' A z / 2 - b' z with A = blockdiag(w_i K(a_i + 2 delta)) - 2 delta w w' (x) K(1)
+        # is z' A z / 2 - b' z with A = blockdiag(w_i K(a_i + 2 delta)) - 2 delta w w' (x) K(1),
+        # blockdiag(w_i K(a_i)) at delta = 0
         interior = ~mesh.boundary
         m = int(interior.sum())
         dof = _dof_map(mesh, "dirichlet-zero")
@@ -363,6 +365,12 @@ class TestCellProblem:
             cell_problem(r, 4, V2, [1.0], n_per_cell=2)
         with pytest.raises(ValueError):
             cell_problem(periodize(r, 4), 8, V2, [1.0])
+        for delta in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                cell_problem(r, 4, V2, [1.0], delta=delta)
+        for tol in (0.0, -1e-9, np.nan):
+            with pytest.raises(ValueError):
+                cell_problem(r, 4, V2, [1.0], tol=tol)
 
 
 class TestEffectiveIntegrand:
