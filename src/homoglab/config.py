@@ -104,7 +104,6 @@ _DEFAULTS = {
         "probe_radius": "1",
         "cosine_degree": "3",
         "max_entries": "32",
-        "mc_samples": "10000",
     },
 }
 
@@ -135,7 +134,6 @@ class ExperimentConfig:
     probe_radius: int
     cosine_degree: int
     max_entries: int
-    mc_samples: int
     resolved_text: str = field(repr=False, default="")
 
     @property
@@ -284,25 +282,26 @@ def parse_config(text: str, kind: str | None = None) -> ExperimentConfig:
             probe_radius=int(get("dictionary", "probe_radius")),
             cosine_degree=int(get("dictionary", "cosine_degree")),
             max_entries=int(get("dictionary", "max_entries")),
-            mc_samples=int(get("dictionary", "mc_samples")),
         )
     except ConfigError:
         raise
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.tol <= 0:
-        raise ConfigError("tol must be positive")
-    if cfg.n_per_cell < 4:
-        raise ConfigError("n_per_cell must be >= 4")
-    if cfg.max_iter < 1:
-        raise ConfigError("max_iter must be >= 1")
-    if cfg.fine_n < 2:
-        raise ConfigError("fine_n must be >= 2")
-    for key in ("probe_radius", "cosine_degree", "mc_samples"):
-        if getattr(cfg, key) < 0:
-            raise ConfigError(f"[dictionary] {key} must be >= 0")
-    if cfg.max_entries < 1:  # the constant entry is always built
-        raise ConfigError("[dictionary] max_entries must be >= 1")
+    for bad, message in (
+        (cfg.tol <= 0, "tol must be positive"),
+        (cfg.n_per_cell < 4, "n_per_cell must be >= 4"),
+        (cfg.max_iter < 1, "max_iter must be >= 1"),
+        (cfg.fine_n < 2, "fine_n must be >= 2"),
+        (cfg.h_over_eps < 1, "h_over_eps must be >= 1"),
+        (cfg.tol_diagram <= 0, "tol_diagram must be positive"),
+        (cfg.linkage_tol < 0, "linkage_tol must be >= 0"),
+        (cfg.probe_radius < 0, "[dictionary] probe_radius must be >= 0"),
+        (cfg.cosine_degree < 0, "[dictionary] cosine_degree must be >= 0"),
+        # the constant entry is always built
+        (cfg.max_entries < 1, "[dictionary] max_entries must be >= 1"),
+    ):
+        if bad:
+            raise ConfigError(message)
 
     cfg.resolved_text = _resolved_text(cp, cfg)
     return cfg

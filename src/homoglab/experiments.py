@@ -179,13 +179,13 @@ def _dictionary(cfg: ExperimentConfig) -> Dictionary:
         cfg.probe_radius,
         cfg.cosine_degree,
         cfg.integrand.p,
-        cfg.mc_samples,
-        cfg.max_entries,
+        max_entries=cfg.max_entries,
     )
 
 
 def _quenched_task(payload):
-    """Minimize along one fixed realization, then pair the minimizer with the dictionary."""
+    """Minimize along one fixed realization, then pair the minimizer with the
+    dictionary (no pairing without one)."""
     cfg, eps, index, dico, include_gradient = payload
     t0 = time.perf_counter()
     r = sample_realization(cfg.ensemble, index)
@@ -193,24 +193,25 @@ def _quenched_task(payload):
     E = assemble_energy([r], eps, mesh, cfg.integrand, load=cfg.load)
     res = minimize(E, tol=cfg.tol, max_iter=cfg.max_iter)
     u = res.fields[0]
-    pv = quenched_pairing(u, r, eps, dico, include_gradient=include_gradient)
-    return {
+    out = {
         "eps": eps,
         "seed": index,
         "min_energy": res.energy,
         "iters": res.iterations,
         "grad_norm": res.grad_norm,
         "converged": res.converged,
-        "values": pv.values,
-        "norm": pv.norm,
         "nodal": u.values,
         "mesh_n": mesh.n,
-        "wall_ms": (time.perf_counter() - t0) * 1e3,
     }
+    if dico is not None:
+        pv = quenched_pairing(u, r, eps, dico, include_gradient=include_gradient)
+        out.update(values=pv.values, norm=pv.norm)
+    out["wall_ms"] = (time.perf_counter() - t0) * 1e3
+    return out
 
 
 def _quenched_results(
-    cfg: ExperimentConfig, dico: Dictionary, threads: int, include_gradient: bool = False
+    cfg: ExperimentConfig, dico: Dictionary | None, threads: int, include_gradient: bool = False
 ) -> list[dict]:
     """One quenched task per (eps, realization), in eps-major order."""
     payloads = [
@@ -718,28 +719,13 @@ def run_solve(cfg: ExperimentConfig, threads: int = 1, force: bool = False) -> S
     """Minimize the configured oscillatory energy per (eps, seed)."""
     _check_resolution(cfg, force)
     rep = StudyReport(kind="solve")
-    for eps in cfg.eps_list:
-        mesh = build_mesh(cfg.ensemble.dimension, cfg.mesh_n(eps))
-        for i in range(cfg.n_realizations):
-            r = sample_realization(cfg.ensemble, i)
-            E = assemble_energy([r], eps, mesh, cfg.integrand, load=cfg.load)
-            res = minimize(E, tol=cfg.tol, max_iter=cfg.max_iter)
-            rep.cell_rows.append(
-                [
-                    None,
-                    max(cfg.L_list),
-                    0.0,
-                    eps,
-                    i,
-                    res.energy,
-                    None,
-                    res.iterations,
-                    res.grad_norm,
-                    res.wall_ms,
-                ]
-            )
-            rep.any_nonconverged |= not res.converged
-            rep.timing_rows.append(["solve", f"eps={eps:g},seed={i}", res.wall_ms])
+    L = max(cfg.L_list)
+    for res in _quenched_results(cfg, None, threads):
+        eps, i, wall = res["eps"], res["seed"], res["wall_ms"]
+        row = [None, L, 0.0, eps, i, res["min_energy"], None, res["iters"], res["grad_norm"], wall]
+        rep.cell_rows.append(row)
+        rep.any_nonconverged |= not res["converged"]
+        rep.timing_rows.append(["solve", f"eps={eps:g},seed={i}", wall])
     return rep
 
 

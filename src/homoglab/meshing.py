@@ -4,13 +4,17 @@ d = 1: intervals; d = 2: squares split along the main diagonal into two
 triangles.  Gradients are piecewise constant; quadrature is one point per
 element (the barycenter).  Two constraint kinds are supported: zero trace on
 the boundary, and periodic identification of opposite faces with zero nodal
-mean (the corrector space of the cell problems).  Operators are stencils on
-the nodal grid: node id ix + (n+1) iy is its row-major [iy, ix] entry.
+mean (the corrector space of the cell problems).  No connectivity is stored:
+every operator is a stencil on the nodal grid, node ix + (n+1) iy being its
+row-major [iy, ix] entry.  Elements are numbered per square (interval),
+row-major; a square's lower triangle (v00, v10, v11) comes before its upper
+one (v00, v11, v01), vertex vab being node (ix + a, iy + b).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -29,17 +33,48 @@ _LEGS = (
     (1, 1, np.s_[..., :-1]),  # v00-v01
 )
 
+# vertex slices of the nodal grid, one tuple per element of a square
+# (interval), in the element order of the module docstring
+_SIMPLICES = {
+    1: ((np.s_[:-1], np.s_[1:]),),
+    2: (
+        (np.s_[:-1, :-1], np.s_[:-1, 1:], np.s_[1:, 1:]),  # lower
+        (np.s_[:-1, :-1], np.s_[1:, 1:], np.s_[1:, :-1]),  # upper
+    ),
+}
+
+
+def _vertex_mean(d: int, n: int, values: np.ndarray) -> np.ndarray:
+    """Mean over each element's vertices, summed in vertex order,
+    (n_nodes, ...) -> (n_elements, ...)."""
+    u = values.reshape((n + 1,) * d + values.shape[1:])
+    means = [reduce(np.add, [u[v] for v in s]) / len(s) for s in _SIMPLICES[d]]
+    return np.stack(means, axis=d).reshape((-1,) + values.shape[1:])
+
+
+def _vertex_sum(d: int, n: int, q: np.ndarray) -> np.ndarray:
+    """Transpose of the vertex gather: per-element q summed onto the element
+    vertices one term at a time, (n_elements,) -> (n_nodes,)."""
+    q = q.reshape((n,) * d + (-1,))
+    out = np.zeros((n + 1,) * d)
+    for k, simplex in enumerate(_SIMPLICES[d]):
+        for v in simplex:
+            out[v] += q[..., k]
+    return out.ravel()
+
 
 @dataclass
 class Mesh:
     dimension: int
     n: int
     size: float
-    nodes: np.ndarray
-    elements: np.ndarray
-    volumes: np.ndarray
-    barycenters: np.ndarray
-    boundary: np.ndarray
+    volumes: np.ndarray = field(init=False, repr=False)
+    barycenters: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        h = self.h
+        self.barycenters = _vertex_mean(self.dimension, self.n, self.nodes)
+        self.volumes = np.full(len(self.barycenters), h if self.dimension == 1 else 0.5 * h * h)
 
     @property
     def h(self) -> float:
@@ -47,11 +82,20 @@ class Mesh:
 
     @property
     def n_nodes(self) -> int:
-        return self.nodes.shape[0]
+        return (self.n + 1) ** self.dimension
 
     @property
     def n_elements(self) -> int:
-        return self.elements.shape[0]
+        return self.volumes.shape[0]
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """Node coordinates (n_nodes, d), row-major on the grid."""
+        n, h = self.n, self.h
+        if self.dimension == 1:
+            return (np.arange(n + 1) * h)[:, None]
+        iy, ix = np.divmod(np.arange((n + 1) ** 2), n + 1)
+        return np.stack([ix * h, iy * h], axis=1)
 
     def element_gradients(self, values: np.ndarray) -> np.ndarray:
         """Per-element gradients of P1 fields, (..., n_nodes) -> (..., n_elements, d)."""
@@ -72,32 +116,7 @@ def build_mesh(dimension: int, n: int, size: float = 1.0) -> Mesh:
         raise ValueError("need at least 2 subdivisions per axis")
     if dimension not in (1, 2):
         raise ValueError("dimension must be 1 or 2")
-    h = size / n
-    if dimension == 1:
-        nodes = (np.arange(n + 1) * h)[:, None]
-        elements = np.stack([np.arange(n), np.arange(n) + 1], axis=1)
-        volumes = np.full(n, h)
-        boundary = np.arange(n + 1) % n == 0
-    else:
-        iy_n, ix_n = np.divmod(np.arange((n + 1) ** 2), n + 1)
-        nodes = np.stack([ix_n * h, iy_n * h], axis=1)
-        v00 = (np.arange(n) + (n + 1) * np.arange(n)[:, None]).ravel()
-        v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
-        # per square: the lower (v00, v10, v11), then the upper (v00, v11, v01)
-        elements = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(2 * n * n, 3)
-        volumes = np.full(2 * n * n, 0.5 * h * h)
-        boundary = (ix_n % n == 0) | (iy_n % n == 0)
-    barycenters = nodes[elements].mean(axis=1)
-    return Mesh(
-        dimension=dimension,
-        n=n,
-        size=size,
-        nodes=nodes,
-        elements=elements,
-        volumes=volumes,
-        barycenters=barycenters,
-        boundary=boundary,
-    )
+    return Mesh(dimension=dimension, n=n, size=size)
 
 
 def _leg_sums(mesh: Mesh, q: np.ndarray) -> list[np.ndarray]:
@@ -222,16 +241,12 @@ class DiscreteField:
 
     def check(self, tol: float = 1e-12) -> None:
         """Verify the constraint holds on the nodal values."""
-        if self.constraint == DIRICHLET_ZERO:
-            if np.any(np.abs(self.values[self.mesh.boundary]) > tol):
-                raise ValueError("field violates the zero boundary constraint")
-        else:
-            c = Constraint(self.mesh, PERIODIC_MEAN_ZERO)
-            z = self.reduced(c)
-            if np.max(np.abs(c.expand(z) - self.values)) > tol:
-                raise ValueError("field violates the periodic face identification")
-            if abs(z.mean()) > tol:
-                raise ValueError("field violates the zero-mean constraint")
+        c = Constraint(self.mesh, self.constraint)
+        z = self.reduced(c)
+        if np.max(np.abs(c.expand(z) - self.values)) > tol:
+            raise ValueError(f"field violates the {self.constraint} constraint")
+        if self.constraint == PERIODIC_MEAN_ZERO and abs(z.mean()) > tol:
+            raise ValueError("field violates the zero-mean constraint")
 
     def reduced(self, constraint: "Constraint") -> np.ndarray:
         grid = self.values.reshape((self.mesh.n + 1,) * self.mesh.dimension)
@@ -241,7 +256,7 @@ class DiscreteField:
         return self.mesh.element_gradients(self.values)
 
     def at_barycenters(self) -> np.ndarray:
-        return self.values[self.mesh.elements].mean(axis=1)
+        return _vertex_mean(self.mesh.dimension, self.mesh.n, self.values)
 
     def lp_norm(self, p: float) -> float:
         """Discrete L^p norm by barycenter quadrature."""

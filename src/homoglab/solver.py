@@ -40,6 +40,7 @@ from .meshing import (
     _gradient_adjoint,
     _leg_sums,
     _to_nodes,
+    _vertex_sum,
     build_mesh,
 )
 
@@ -171,11 +172,9 @@ class _Objective:
         self.n_dofs = self.constraint.n_dofs
         self.variance = E.delta > 0 and E.penalty == "variance"
         self.corrector = E.delta > 0 and E.penalty == "corrector"
-        # reduced load vector (shared): each vertex gets 1/nv of its elements' vol * f
-        nv = E.mesh.elements.shape[1]
-        weights = np.repeat(self.vol * E.load_values, nv) * (1.0 / nv)
-        load = np.bincount(E.mesh.elements.ravel(), weights, E.mesh.n_nodes)
-        self.load_red = self.constraint.reduce_adjoint(load)
+        # reduced load vector (shared): each vertex gets 1/(d+1) of its elements' vol * f
+        weights = (self.vol * E.load_values) * (1.0 / (self.d + 1))
+        self.load_red = self.constraint.reduce_adjoint(_vertex_sum(self.d, E.mesh.n, weights))
         self.loaded = bool(self.load_red.any())
         # realization weight, element volume and scale folded into one factor
         self.w = (E.weights * (self.vol0 * E.scale))[:, None]

@@ -85,7 +85,8 @@ class TestParsing:
         cfg = parse_config(FULL)
         assert "[solver]" in cfg.resolved_text
         assert "h_over_eps" in cfg.resolved_text
-        assert "mc_samples" in cfg.resolved_text
+        assert "max_entries" in cfg.resolved_text
+        assert "mc_samples" not in cfg.resolved_text
         assert len(cfg.config_hash) == 16
 
     def test_resolved_echo_is_stable(self):
@@ -125,6 +126,10 @@ class TestValidation:
             "[dictionary]\nprobe_radius = -1\n",
             "[dictionary]\nmax_entries = 0\n",
             "[dictionary]\nmc_samples = -1\n",
+            "[study]\ntol_diagram = 0\n",
+            "[study]\ntol_diagram = -0.05\n",
+            "[study]\nlinkage_tol = -0.01\n",
+            "[solver]\nh_over_eps = 0\n",
             "[study]\nL = 2.7\n",
             "[study]\nkind = cell\nL = 4, 8.5\n",
             "[study]\nkind = diagram\ndelta = 0.1, 0\n",

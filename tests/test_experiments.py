@@ -336,6 +336,19 @@ class TestOutputsAndCLI:
             outs[k] = (out / "report.csv").read_bytes()
         assert outs[1] == outs[2]
 
+    def test_solve_cell_csv_identical_across_threads(self, tmp_path):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(SWEEP_SMALL)
+        tables = []
+        for k in (1, 2):
+            out = tmp_path / f"t{k}"
+            assert cli_main(["solve", "--config", str(cfg_path), "--out", str(out), "--threads", str(k)]) == 0
+            rows = read_rows(out / "cell.csv")
+            keep = [i for i, col in enumerate(rows[0]) if col != "wall_ms"]
+            tables.append([[row[i] for i in keep] for row in rows])
+        assert len(tables[0]) > 1
+        assert tables[0] == tables[1]
+
     def test_rerun_is_byte_identical_and_svg_structural(self, tmp_path):
         cfg = parse_config(SWEEP_SMALL)
         rep1 = run_study(cfg)

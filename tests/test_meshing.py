@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from homoglab.integrand import IntegrandSpec
+from homoglab.medium import DiscreteValues, EnsembleSpec, sample_realization
 from homoglab.meshing import (
     DIRICHLET_ZERO,
     PERIODIC_MEAN_ZERO,
@@ -11,6 +13,9 @@ from homoglab.meshing import (
     build_mesh,
     lp_distance,
 )
+from homoglab.solver import _Objective, assemble_energy
+
+from triangulation import triangulation
 
 
 class TestBuild:
@@ -36,10 +41,14 @@ class TestBuild:
     @pytest.mark.parametrize("d", [1, 2])
     def test_boundary_nodes_exact(self, d):
         m = build_mesh(d, 6)
+        _, _, boundary = triangulation(m)
         on_face = np.zeros(m.n_nodes, dtype=bool)
         for axis in range(d):
             on_face |= (m.nodes[:, axis] == 0.0) | (m.nodes[:, axis] == 1.0)
-        assert np.array_equal(m.boundary, on_face)
+        assert np.array_equal(boundary, on_face)
+        # the zero-trace expansion of nonzero dofs vanishes exactly there
+        c = Constraint(m, DIRICHLET_ZERO)
+        assert np.array_equal(c.expand(np.ones(c.n_dofs)) == 0.0, boundary)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_gradient_exact_on_affine(self, d):
@@ -56,13 +65,37 @@ class TestBuild:
         assert np.allclose(vals, 2.0 * m.barycenters[:, 0] - m.barycenters[:, 1], atol=1e-13)
 
 
+class TestAgainstTriangulation:
+    """The grid gathers and scatters against connectivity, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "d, n, size", [(1, 2, 1.0), (1, 48, 1.5), (1, 97, 7.0), (2, 2, 1.0), (2, 13, 1.5), (2, 48, 9.0)]
+    )
+    def test_barycenters_and_constant_load(self, d, n, size):
+        m = build_mesh(d, n, size)
+        nodes, elements, _ = triangulation(m)
+        assert np.array_equal(m.nodes, nodes)
+        assert np.array_equal(m.barycenters, nodes[elements].mean(axis=1))
+        u = np.random.default_rng(n).normal(size=m.n_nodes)
+        assert np.array_equal(DiscreteField(mesh=m, values=u).at_barycenters(), u[elements].mean(axis=1))
+        # load 0.37: each vertex gets 1/(d+1) of its elements' vol * f
+        r = sample_realization(EnsembleSpec(dimension=d, cells=DiscreteValues((1.0,), (1.0,))), 0)
+        E = assemble_energy([r], 4 * size, m, IntegrandSpec(p=2.0), load=0.37)
+        weights = np.repeat(m.volumes * 0.37, d + 1) * (1.0 / (d + 1))
+        load = np.bincount(elements.ravel(), weights, m.n_nodes)
+        for kind in (DIRICHLET_ZERO, PERIODIC_MEAN_ZERO):
+            E.constraint = kind
+            expect = Constraint(m, kind).reduce_adjoint(load)
+            assert np.array_equal(_Objective(E).load_red, expect)
+
+
 class TestConstraints:
     def test_dirichlet_expand_zero_on_boundary(self):
         m = build_mesh(2, 4)
         c = Constraint(m, DIRICHLET_ZERO)
         z = np.arange(c.n_dofs, dtype=float) + 1
         full = c.expand(z)
-        assert np.all(full[m.boundary] == 0.0)
+        assert np.all(full[triangulation(m)[2]] == 0.0)
         assert np.count_nonzero(full) == c.n_dofs
 
     @pytest.mark.parametrize("d", [1, 2])

@@ -17,6 +17,7 @@ from homoglab.solver import (
 )
 
 from exact1d import cell_energy, dirichlet_energy
+from triangulation import triangulation
 
 V2 = IntegrandSpec(p=2.0)
 ONE1 = EnsembleSpec(dimension=1, cells=DiscreteValues((1.0,), (1.0,)), seed=1)
@@ -306,7 +307,8 @@ class TestCoupledPCG:
         # sum_i w_i (z_i' K(a_i) z_i / 2 - f' z_i) + delta sum_i w_i |grad(z_i - zbar)|^2
         # is z' A z / 2 - b' z with A = blockdiag(w_i K(a_i + 2 delta)) - 2 delta w w' (x) K(1),
         # blockdiag(w_i K(a_i)) at delta = 0
-        interior = ~mesh.boundary
+        _, elements, boundary = triangulation(mesh)
+        interior = ~boundary
         m = int(interior.sum())
         dof = _dof_map(mesh, "dirichlet-zero")
         w = E.weights
@@ -315,7 +317,7 @@ class TestCoupledPCG:
         A = sp.block_diag(blocks) - 2.0 * delta * sp.kron(np.outer(w, w), K1)
         _, area = _barycentric_gradients(mesh)
         f = np.zeros(mesh.n_nodes)
-        np.add.at(f, mesh.elements, area[:, None] / 3.0)
+        np.add.at(f, elements, area[:, None] / 3.0)
         b = np.concatenate([wi * f[interior] for wi in w])
         exact = -0.5 * float(b @ spla.spsolve(A.tocsc(), b))
         assert res.energy == pytest.approx(exact, rel=1e-10, abs=0)
@@ -456,7 +458,8 @@ class TestSpectralPCG:
 def _barycentric_gradients(mesh):
     """Gradients of the three barycentric functions of every 2D element,
     shape (n_elements, 3, 2), and the element areas, from the vertices."""
-    T = np.concatenate([np.ones(mesh.elements.shape + (1,)), mesh.nodes[mesh.elements]], axis=-1)
+    nodes, elements, _ = triangulation(mesh)
+    T = np.concatenate([np.ones(elements.shape + (1,)), nodes[elements]], axis=-1)
     return np.linalg.inv(T)[:, 1:].transpose(0, 2, 1), 0.5 * np.abs(np.linalg.det(T))
 
 
@@ -465,7 +468,7 @@ def _p1_stiffness(mesh, w, dof_of_node, n_dofs):
     whose dof is -1 are dropped (zero trace)."""
     grads, area = _barycentric_gradients(mesh)
     local = (w * area)[:, None, None] * grads @ grads.transpose(0, 2, 1)
-    dofs = dof_of_node[mesh.elements]
+    dofs = dof_of_node[triangulation(mesh)[1]]
     rows = np.broadcast_to(dofs[:, :, None], local.shape)
     cols = np.broadcast_to(dofs[:, None, :], local.shape)
     keep = (rows >= 0) & (cols >= 0)
@@ -475,10 +478,11 @@ def _p1_stiffness(mesh, w, dof_of_node, n_dofs):
 def _dof_map(mesh, kind):
     """Reduced dof of every node; -1 on the boundary for zero trace."""
     n = mesh.n
-    idx = np.rint(mesh.nodes / mesh.h).astype(int)
+    nodes, _, boundary = triangulation(mesh)
+    idx = np.rint(nodes / mesh.h).astype(int)
     if kind == "dirichlet-zero":
         dof = np.full(mesh.n_nodes, -1)
-        dof[~mesh.boundary] = np.arange(int((~mesh.boundary).sum()))
+        dof[~boundary] = np.arange(int((~boundary).sum()))
         return dof
     idx %= n
     return idx[:, 0] if mesh.dimension == 1 else idx[:, 0] + n * idx[:, 1]
@@ -487,7 +491,7 @@ def _dof_map(mesh, kind):
 def _tridiagonal_stiffness(mesh, w, dof):
     """1D P1 stiffness sum_e (w_e / h) [[1, -1], [-1, 1]], gathered on the dofs."""
     K = np.zeros((dof.max() + 1,) * 2)
-    for e, (i, j) in enumerate(mesh.elements):
+    for e, (i, j) in enumerate(triangulation(mesh)[1]):
         for a, b, s in ((i, i, 1), (j, j, 1), (i, j, -1), (j, i, -1)):
             if dof[a] >= 0 and dof[b] >= 0:
                 K[dof[a], dof[b]] += s * w[e] / mesh.h
@@ -522,11 +526,12 @@ class TestStencilStiffness:
 def _spsolve_dirichlet_energy(mesh, w):
     """Minimal p = 2 energy with weights w and load 1 under zero trace, by a
     direct solve on the test-assembled 2D stiffness."""
-    interior = ~mesh.boundary
+    _, elements, boundary = triangulation(mesh)
+    interior = ~boundary
     K = _p1_stiffness(mesh, w, _dof_map(mesh, "dirichlet-zero"), int(interior.sum()))
     _, area = _barycentric_gradients(mesh)
     f = np.zeros(mesh.n_nodes)
-    np.add.at(f, mesh.elements, area[:, None] / 3.0)  # load 1, barycenter quadrature
+    np.add.at(f, elements, area[:, None] / 3.0)  # load 1, barycenter quadrature
     u = spla.spsolve(K.tocsc(), f[interior])
     return -0.5 * float(f[interior] @ u)
 
@@ -559,7 +564,7 @@ class TestDirectOracle:
         # linear term sum_e |e| a_e F . grad(l_i), gathered on the torus dofs
         grads, area = _barycentric_gradients(mesh)
         b = np.zeros(n * n)
-        np.add.at(b, torus[mesh.elements], (area * a)[:, None] * (grads @ F))
+        np.add.at(b, torus[triangulation(mesh)[1]], (area * a)[:, None] * (grads @ F))
         # pin dof 0: the energy only sees gradients, so phi(0) = 0 loses nothing
         phi = spla.spsolve(K[1:, 1:].tocsc(), -b[1:])
         quad = 0.5 * float(area @ a) * float(F @ F)
