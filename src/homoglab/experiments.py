@@ -6,10 +6,11 @@ Four studies:
   nonergodic       per-realization limits of a periodized ensemble + clusters
   quenched-vs-mean per-realization pairing trajectories vs the mean and limit
 
-plus the operation commands cell / solve.  Independent
-(eps, seed) tasks run across a process pool; every aggregation is an ordered
-reduction over the task list, so outputs are byte-identical for any worker
-count.
+plus the operation commands cell / solve.  Each study hands all of its
+independent work to one process pool: the (eps, seed) tasks and, beside
+them, the reference, limit or corner solves.  Every aggregation is an
+ordered reduction over the task list, so outputs are byte-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -98,13 +99,23 @@ def _log_growth(rep: StudyReport, cfg: ExperimentConfig, n: int = 2000) -> None:
     )
 
 
-def _pmap(fn, payloads: list, threads: int):
+def _call(task):
+    fn, payload = task
+    return fn(payload)
+
+
+def _pmap(tasks: list, threads: int) -> list:
+    """Run (fn, payload) tasks, results in list order.
+
+    The pool hands tasks out in list order, so a study lists its longest
+    tasks first; with one worker (or one task) they run in-process, in order.
+    """
     # the pool starts all its workers up front: never more than there are tasks
-    workers = min(threads or 1, len(payloads))
+    workers = min(threads or 1, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, payloads))
-    return [fn(p) for p in payloads]
+            return list(ex.map(_call, tasks))
+    return [fn(payload) for fn, payload in tasks]
 
 
 def _fit_rate(eps: list[float], vals: list[float]) -> tuple[float, float]:
@@ -120,13 +131,10 @@ def _fit_rate(eps: list[float], vals: list[float]) -> tuple[float, float]:
     return float(coef[0]), residual
 
 
-def _reference_coefficient(
-    cfg: ExperimentConfig, rep: StudyReport, delta: float = 0.0
-) -> tuple[float, float]:
+def _reference_coefficient(cfg: ExperimentConfig, delta: float = 0.0) -> tuple[float, float, bool]:
     """Effective isotropic coefficient from unit-direction cell problems.
 
-    Returns (c_hom, stderr_of_c); V_hom(F) ~= (c_hom / p) |F|^p.  A cell
-    solve that misses tol marks rep non-converged.
+    Returns (c_hom, stderr_of_c, converged); V_hom(F) ~= (c_hom / p) |F|^p.
     """
     d = cfg.ensemble.dimension
     L = max(cfg.L_list)
@@ -142,15 +150,14 @@ def _reference_coefficient(
         tol=cfg.tol,
         max_iter=cfg.max_iter,
     )
-    rep.any_nonconverged |= not all(r.converged for r in rows)
     c = float(np.mean([r.mean for r in rows])) * cfg.integrand.p
     err = float(np.sqrt(np.mean([r.stderr**2 for r in rows]))) * cfg.integrand.p
-    return c, err
+    return c, err, all(r.converged for r in rows)
 
 
-def _homogenized_solve(cfg: ExperimentConfig, rep: StudyReport, c_hom: float):
-    """Fine-mesh minimizer of the constant-coefficient limit problem; a
-    solve that misses tol marks rep non-converged."""
+def _homogenized_solve(cfg: ExperimentConfig, c_hom: float):
+    """Fine-mesh minimizer of the constant-coefficient limit problem:
+    (field, energy, converged)."""
     from .integrand import IntegrandSpec
 
     mesh = build_mesh(cfg.ensemble.dimension, cfg.fine_n)
@@ -164,8 +171,7 @@ def _homogenized_solve(cfg: ExperimentConfig, rep: StudyReport, c_hom: float):
     r = sample_realization(hom_ens, 0)
     E = assemble_energy([r], 1.0, mesh, hom_V, load=cfg.load)
     res = minimize(E, tol=min(cfg.tol, 1e-10), max_iter=cfg.max_iter)
-    rep.any_nonconverged |= not res.converged
-    return res.fields[0], res.energy
+    return res.fields[0], res.energy, res.converged
 
 
 def _check_resolution(cfg: ExperimentConfig, force: bool) -> None:
@@ -210,16 +216,45 @@ def _quenched_task(payload):
     return out
 
 
-def _quenched_results(
-    cfg: ExperimentConfig, dico: Dictionary | None, threads: int, include_gradient: bool = False
-) -> list[dict]:
+def _quenched_tasks(
+    cfg: ExperimentConfig, dico: Dictionary | None, include_gradient: bool = False
+) -> list:
     """One quenched task per (eps, realization), in eps-major order."""
-    payloads = [
-        (cfg, eps, i, dico, include_gradient)
+    return [
+        (_quenched_task, (cfg, eps, i, dico, include_gradient))
         for eps in cfg.eps_list
         for i in range(cfg.n_realizations)
     ]
-    return _pmap(_quenched_task, payloads, threads)
+
+
+def _limit_task(payload):
+    """The mean side of a study: c_hom from the reference cell problems, the
+    homogenized solve and its limit pairing.  mode "gradient" pairs against
+    the sampled correctors too (the quenched-vs-mean limit)."""
+    cfg, dico, mode = payload
+    t0 = time.perf_counter()
+    csets = None
+    if mode == "gradient":
+        csets = sample_correctors(
+            cfg.ensemble,
+            max(cfg.L_list),
+            cfg.integrand,
+            n_samples=cfg.n_realizations,
+            n_per_cell=cfg.n_per_cell,
+            tol=cfg.tol,
+            max_iter=cfg.max_iter,
+        )
+    c_hom, c_err, c_ok = _reference_coefficient(cfg)
+    u_hom, min_hom, u_ok = _homogenized_solve(cfg, c_hom)
+    return {
+        "c_hom": c_hom,
+        "c_hom_stderr": c_err,
+        "u_hom": u_hom,
+        "min_hom": min_hom,
+        "limit": limit_pairing(u_hom, dico, mode=mode, corrector_sets=csets),
+        "converged": c_ok and u_ok and all(c.converged for c in csets or ()),
+        "wall_ms": (time.perf_counter() - t0) * 1e3,
+    }
 
 
 def _pairing_vector(res: dict, dico: Dictionary) -> PairingVector:
@@ -245,15 +280,13 @@ def run_homogenization_sweep(
     rep = StudyReport(kind="sweep")
     _log_realizations(rep, cfg)
     _log_growth(rep, cfg)
-    t0 = time.perf_counter()
-    c_hom, c_err = _reference_coefficient(cfg, rep)
-    u_hom, min_hom = _homogenized_solve(cfg, rep, c_hom)
     dico = _dictionary(cfg)
-    lim = limit_pairing(u_hom, dico, mode="function")
-    rep.timing_rows.append(["sweep", "reference", (time.perf_counter() - t0) * 1e3])
-    rep.summary.update(c_hom=c_hom, c_hom_stderr=c_err, min_hom=min_hom)
-
-    results = _quenched_results(cfg, dico, threads)
+    tasks = [(_limit_task, (cfg, dico, "function"))] + _quenched_tasks(cfg, dico)
+    ref, *results = _pmap(tasks, threads)
+    u_hom, min_hom, lim = ref["u_hom"], ref["min_hom"], ref["limit"]
+    rep.timing_rows.append(["sweep", "reference", ref["wall_ms"]])
+    rep.any_nonconverged |= not ref["converged"]
+    rep.summary.update(c_hom=ref["c_hom"], c_hom_stderr=ref["c_hom_stderr"], min_hom=min_hom)
 
     gap_med, dist_med = [], []
     for eps in cfg.eps_list:
@@ -318,6 +351,21 @@ def _diagram_task(payload):
     }
 
 
+def _corner_task(payload):
+    """The homogenized corner (eps = 0) of one delta: c(delta) and its solve."""
+    cfg, delta = payload
+    t0 = time.perf_counter()
+    c, _, c_ok = _reference_coefficient(cfg, delta=delta)
+    _, min_hom, u_ok = _homogenized_solve(cfg, c)
+    return {
+        "delta": delta,
+        "c": c,
+        "min_hom": min_hom,
+        "converged": c_ok and u_ok,
+        "wall_ms": (time.perf_counter() - t0) * 1e3,
+    }
+
+
 def _rational_extrapolate(deltas, values) -> float:
     """delta -> 0 limit from a (1,1) rational fit value(d) = (a + b d)/(1 + e d).
 
@@ -358,8 +406,10 @@ def run_regularization_diagram(
             )
 
     deltas = list(cfg.delta_list) + [0.0]
-    payloads = [(cfg, eps, dl) for eps in cfg.eps_list for dl in deltas]
-    results = _pmap(_diagram_task, payloads, threads)
+    tasks = [(_corner_task, (cfg, dl)) for dl in deltas]
+    tasks += [(_diagram_task, (cfg, eps, dl)) for eps in cfg.eps_list for dl in deltas]
+    out = _pmap(tasks, threads)
+    corners, results = out[: len(deltas)], out[len(deltas) :]
     for res in results:
         rep.rows.append(
             ReportRow(
@@ -380,11 +430,9 @@ def run_regularization_diagram(
 
     # homogenized corners per delta (eps = 0 rows)
     c_by_delta = {}
-    for dl in deltas:
-        t0 = time.perf_counter()
-        c_dl, _ = _reference_coefficient(cfg, rep, delta=dl)
-        u_hom, min_hom = _homogenized_solve(cfg, rep, c_dl)
-        c_by_delta[dl] = (c_dl, min_hom)
+    for res in corners:
+        dl = res["delta"]
+        c_by_delta[dl] = (res["c"], res["min_hom"])
         rep.rows.append(
             ReportRow(
                 study="diagram",
@@ -392,10 +440,11 @@ def run_regularization_diagram(
                 delta=dl,
                 L=max(cfg.L_list),
                 seed="hom",
-                min_energy=min_hom,
+                min_energy=res["min_hom"],
             )
         )
-        rep.timing_rows.append(["diagram", f"hom,delta={dl:g}", (time.perf_counter() - t0) * 1e3])
+        rep.timing_rows.append(["diagram", f"hom,delta={dl:g}", res["wall_ms"]])
+        rep.any_nonconverged |= not res["converged"]
 
     eps_min = min(cfg.eps_list)
     delta_min = min(cfg.delta_list)
@@ -411,7 +460,8 @@ def run_regularization_diagram(
         c_floor = min(c_by_delta[dl][0] for dl in cfg.delta_list)
         if not (0.0 < c_star <= c_floor + 1e-12):
             c_star = c_by_delta[delta_min][0]
-        _, path_hom_route = _homogenized_solve(cfg, rep, c_star)
+        _, path_hom_route, converged = _homogenized_solve(cfg, c_star)
+        rep.any_nonconverged |= not converged
     else:
         c_star = c_by_delta[delta_min][0]
         path_hom_route = c_by_delta[delta_min][1]
@@ -446,6 +496,33 @@ def run_regularization_diagram(
 # ------------------------------------------------------------ nonergodic ----
 
 
+def _own_limit_task(payload):
+    """Realization i's own limit: the cell problem on its fundamental cell,
+    the homogenized solve and the limit pairing against its torus averages."""
+    cfg, dico, i = payload
+    t0 = time.perf_counter()
+    r = sample_realization(cfg.ensemble, i)
+    res = cell_problem(
+        r,
+        cfg.ensemble.period,
+        cfg.integrand,
+        np.eye(cfg.ensemble.dimension)[0],
+        n_per_cell=cfg.n_per_cell,
+        tol=cfg.tol,
+        max_iter=cfg.max_iter,
+    )
+    u_hom, min_hom, u_ok = _homogenized_solve(cfg, cfg.integrand.p * res.value)
+    return {
+        "seed": i,
+        "min_hom": min_hom,
+        "iters": res.iterations,
+        "grad_norm": res.grad_norm,
+        "limit": limit_pairing(u_hom, dico, mode="function", realizations=[r]),
+        "converged": res.converged and u_ok,
+        "wall_ms": (time.perf_counter() - t0) * 1e3,
+    }
+
+
 def run_nonergodic_study(cfg: ExperimentConfig, threads: int = 1, force: bool = False) -> StudyReport:
     """Cluster per-realization limits of a periodized (nonergodic) ensemble.
 
@@ -459,62 +536,49 @@ def run_nonergodic_study(cfg: ExperimentConfig, threads: int = 1, force: bool = 
     rep = StudyReport(kind="nonergodic")
     _log_realizations(rep, cfg)
     dico = _dictionary(cfg)
-    # exact per-realization limits via the fundamental cell problem
+    n = cfg.n_realizations
+    tasks = [(_own_limit_task, (cfg, dico, i)) for i in range(n)] + _quenched_tasks(cfg, dico)
+    out = _pmap(tasks, threads)
     limits = {}
-    for i in range(cfg.n_realizations):
-        t0 = time.perf_counter()
-        r = sample_realization(cfg.ensemble, i)
-        res = cell_problem(
-            r,
-            cfg.ensemble.period,
-            cfg.integrand,
-            np.eye(cfg.ensemble.dimension)[0],
-            n_per_cell=cfg.n_per_cell,
-            tol=cfg.tol,
-            max_iter=cfg.max_iter,
-        )
-        rep.any_nonconverged |= not res.converged
-        c_i = cfg.integrand.p * res.value
-        u_hom_i, min_hom_i = _homogenized_solve(cfg, rep, c_i)
-        limits[str(i)] = limit_pairing(u_hom_i, dico, mode="function", realizations=[r])
+    for res in out[:n]:
+        key = str(res["seed"])
+        limits[key] = res["limit"]
         rep.rows.append(
             ReportRow(
                 study="nonergodic",
                 eps=0.0,
                 delta=0.0,
                 L=cfg.ensemble.period,
-                seed=str(i),
-                min_energy=min_hom_i,
+                seed=key,
+                min_energy=res["min_hom"],
                 dist_pairing=None,
-                iters=res.iterations,
-                grad_norm=res.grad_norm,
+                iters=res["iters"],
+                grad_norm=res["grad_norm"],
             )
         )
-        rep.timing_rows.append(["nonergodic", f"limit,seed={i}", (time.perf_counter() - t0) * 1e3])
+        rep.timing_rows.append(["nonergodic", f"limit,seed={key}", res["wall_ms"]])
+        rep.any_nonconverged |= not res["converged"]
 
-    trajectories: dict[str, list[PairingVector]] = {str(i): [] for i in range(cfg.n_realizations)}
-    if cfg.eps_list:
-        for res in _quenched_results(cfg, dico, threads):
-            key = str(res["seed"])
-            pv = _pairing_vector(res, dico)
-            trajectories[key].append(pv)
-            rep.rows.append(
-                ReportRow(
-                    study="nonergodic",
-                    eps=res["eps"],
-                    delta=0.0,
-                    L=cfg.ensemble.period,
-                    seed=key,
-                    min_energy=res["min_energy"],
-                    dist_pairing=metric_distance(pv, limits[key]),
-                    iters=res["iters"],
-                    grad_norm=res["grad_norm"],
-                )
+    trajectories: dict[str, list[PairingVector]] = {str(i): [] for i in range(n)}
+    for res in out[n:]:
+        key = str(res["seed"])
+        pv = _pairing_vector(res, dico)
+        trajectories[key].append(pv)
+        rep.rows.append(
+            ReportRow(
+                study="nonergodic",
+                eps=res["eps"],
+                delta=0.0,
+                L=cfg.ensemble.period,
+                seed=key,
+                min_energy=res["min_energy"],
+                dist_pairing=metric_distance(pv, limits[key]),
+                iters=res["iters"],
+                grad_norm=res["grad_norm"],
             )
-            rep.timing_rows.append(
-                ["nonergodic", f"eps={res['eps']:g},seed={res['seed']}", res["wall_ms"]]
-            )
-            rep.any_nonconverged |= not res["converged"]
+        )
+        rep.timing_rows.append(["nonergodic", f"eps={res['eps']:g},seed={key}", res["wall_ms"]])
+        rep.any_nonconverged |= not res["converged"]
     ym_limit = empirical_young_measure({k: [v] for k, v in limits.items()}, cfg.linkage_tol)
     ym = empirical_young_measure(trajectories, cfg.linkage_tol) if cfg.eps_list else ym_limit
     for ci, cluster in enumerate(ym.clusters):
@@ -557,25 +621,14 @@ def run_quenched_vs_mean(cfg: ExperimentConfig, threads: int = 1, force: bool = 
     rep = StudyReport(kind="quenched-vs-mean")
     _log_realizations(rep, cfg)
     dico = _dictionary(cfg)
-    t0 = time.perf_counter()
     L = max(cfg.L_list)
-    csets = sample_correctors(
-        cfg.ensemble,
-        L,
-        cfg.integrand,
-        n_samples=cfg.n_realizations,
-        n_per_cell=cfg.n_per_cell,
-        tol=cfg.tol,
-        max_iter=cfg.max_iter,
-    )
-    rep.any_nonconverged |= not all(c.converged for c in csets)
-    c_hom, _ = _reference_coefficient(cfg, rep)
-    u_hom, min_hom = _homogenized_solve(cfg, rep, c_hom)
-    lim = limit_pairing(u_hom, dico, mode="gradient", corrector_sets=csets)
-    rep.timing_rows.append(["quenched-vs-mean", "limit", (time.perf_counter() - t0) * 1e3])
-    rep.summary.update(c_hom=c_hom, min_hom=min_hom)
-
-    results = _quenched_results(cfg, dico, threads, include_gradient=True)
+    tasks = [(_limit_task, (cfg, dico, "gradient"))]
+    tasks += _quenched_tasks(cfg, dico, include_gradient=True)
+    mean, *results = _pmap(tasks, threads)
+    min_hom, lim = mean["min_hom"], mean["limit"]
+    rep.timing_rows.append(["quenched-vs-mean", "limit", mean["wall_ms"]])
+    rep.any_nonconverged |= not mean["converged"]
+    rep.summary.update(c_hom=mean["c_hom"], min_hom=min_hom)
 
     trajectories: dict[str, list[PairingVector]] = {str(i): [] for i in range(cfg.n_realizations)}
     mean_trajectory: list[PairingVector] = []
@@ -720,7 +773,7 @@ def run_solve(cfg: ExperimentConfig, threads: int = 1, force: bool = False) -> S
     _check_resolution(cfg, force)
     rep = StudyReport(kind="solve")
     L = max(cfg.L_list)
-    for res in _quenched_results(cfg, None, threads):
+    for res in _pmap(_quenched_tasks(cfg, None), threads):
         eps, i, wall = res["eps"], res["seed"], res["wall_ms"]
         row = [None, L, 0.0, eps, i, res["min_energy"], None, res["iters"], res["grad_norm"], wall]
         rep.cell_rows.append(row)

@@ -150,7 +150,7 @@ def verify_growth(
     idx = rng.integers(0, 2**31, size=n)
     seeds = _mix(ensemble.seed, TAG_REALIZATION, idx.astype(np.uint64))
     y = _offsets(seeds, d) if ensemble.shift_sampling else 0.0
-    cells = np.floor(x - y).astype(np.int64)
+    cells = np.floor(x - y).astype(np.int64).T
     w = _cell_values(ensemble.cells, seeds, ensemble.period, cells)
     if spec.degenerate:
         lam = spec.lambda_cells

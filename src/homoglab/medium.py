@@ -11,6 +11,7 @@ periodically (the representative-volume ensemble).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -186,19 +187,18 @@ def _offsets(seed: int | np.ndarray, d: int) -> np.ndarray:
 
 
 def _cell_values(
-    dist: CellDistribution, seed: int | np.ndarray, period: int | None, cells: np.ndarray
+    dist: CellDistribution, seed: int | np.ndarray, period: int | None, cells: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """Hash integer cell indices (..., d) to values of `dist`.
+    """Hash integer cell indices, one array per axis, to values of `dist`.
 
-    `seed` is a realization seed, or a uint64 array of them broadcasting
-    against cells.shape[:-1].
+    `seed` is a realization seed, or a uint64 array of them; it and the
+    index arrays broadcast together.
     """
-    if period is not None:
-        cells = np.mod(cells, period)
-    h = np.broadcast_to(np.asarray(seed, dtype=np.uint64), cells.shape[:-1])
-    for axis in range(cells.shape[-1]):
-        c = np.asarray(cells[..., axis], dtype=np.int64).view(np.uint64)
-        h = _splitmix64(h ^ c)
+    h = np.asarray(seed, dtype=np.uint64)
+    for c in cells:
+        if period is not None:
+            c = np.mod(c, period)
+        h = _splitmix64(h ^ np.asarray(c, dtype=np.int64).view(np.uint64))
     return dist.from_unit(_bits_to_unit(h))
 
 
@@ -206,16 +206,35 @@ def eval_coefficient(r: Realization, x: Sequence[float] | np.ndarray) -> np.ndar
     """Value of the field at point(s) x, shape (..., d) -> (...).
 
     The cell containing x is floor(x + t - y): cells are the translates
-    i + y + [0,1)^d of the shifted unit lattice.
+    i + y + [0,1)^d of the shifted unit lattice.  When the points' cells
+    span a box of no more cells than there are points, each cell of the box
+    is hashed once and the points index that table.
     """
     pts = np.asarray(x, dtype=float)
     scalar = pts.ndim == 1
     if pts.shape[-1] != r.dimension:
         raise ValueError(f"points must have trailing dimension {r.dimension}")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("evaluation points must be finite")
-    rel = pts + np.asarray(r.translation) - np.asarray(r.offset)
-    vals = _cell_values(r.spec.cells, r.seed, r.period, np.floor(rel).astype(np.int64))
+    cells = [
+        np.floor(pts[..., a] + t - y).astype(np.int64)
+        for a, (t, y) in enumerate(zip(r.translation, r.offset))
+    ]
+    if r.period is not None:
+        cells = [np.mod(c, r.period) for c in cells]
+    n, d = cells[0].size, len(cells)
+    lo = [int(c.min()) for c in cells] if n else []
+    extent = [int(c.max()) - l + 1 for c, l in zip(cells, lo)]
+    if n and math.prod(extent) <= n:
+        # the box's index axes, shaped to broadcast to the (extent) grid
+        box = [
+            np.arange(l, l + e).reshape((e,) + (1,) * (d - 1 - a))
+            for a, (l, e) in enumerate(zip(lo, extent))
+        ]
+        table = _cell_values(r.spec.cells, r.seed, None, box)
+        vals = table[tuple(c - l for c, l in zip(cells, lo))]
+    else:
+        vals = _cell_values(r.spec.cells, r.seed, None, cells)
     return float(vals) if scalar else vals
 
 

@@ -400,7 +400,11 @@ def limit_pairing(
 def metric_distance(U: PairingVector, V: PairingVector) -> float:
     """Truncated metric sum_j 2^{-j} t_j/(1+t_j) on normalized entries.
 
-    The truncation error of the untruncated series is below 2^{-J}.
+    The truncation error of the untruncated series is below 2^{-J}.  Terms
+    are doubles, so a term below the smallest subnormal (2^-1074) is zero:
+    entries whose normalized difference t_j lies below about 2^(j - 1074)
+    do not separate two vectors, and d is a metric on vectors up to that
+    floor.
     """
     if U.blocks != V.blocks or U.dico.phi_ids != V.dico.phi_ids:
         raise ValueError("pairing vectors use different dictionaries")

@@ -57,6 +57,36 @@ n_realizations = 3
 max_entries = 8
 """
 
+QVM_SMALL = """
+[ensemble]
+dimension = 1
+values = 1, 4
+probs = 0.5, 0.5
+seed = 21
+
+[study]
+eps = 1/8, 1/16
+L = 16
+n_realizations = 4
+
+[dictionary]
+max_entries = 8
+"""
+
+NONERGODIC_SMALL = """
+[ensemble]
+dimension = 1
+values = 1, 4
+probs = 0.5, 0.5
+period = 1
+seed = 21
+
+[study]
+eps = 1/16, 1/32
+L = 1
+n_realizations = 6
+"""
+
 DIAGRAM_SMALL = """
 [ensemble]
 dimension = 1
@@ -349,6 +379,30 @@ class TestOutputsAndCLI:
         assert len(tables[0]) > 1
         assert tables[0] == tables[1]
 
+    @pytest.mark.parametrize(
+        "command, config, files",
+        [
+            ("quenched-vs-mean", QVM_SMALL, ("report.csv", "pairings.csv", "young.csv", "summary.txt")),
+            # a nonergodic study writes no pairings.csv
+            ("nonergodic", NONERGODIC_SMALL, ("report.csv", "young.csv", "summary.txt")),
+        ],
+        ids=["quenched-vs-mean", "nonergodic"],
+    )
+    def test_pool_studies_identical_across_threads(self, tmp_path, command, config, files):
+        # the limit tasks run in the pool beside the quenched tasks
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(config)
+        runs = []
+        for k in (1, 2):
+            out = tmp_path / f"t{k}"
+            assert cli_main([command, "--config", str(cfg_path), "--out", str(out), "--threads", str(k)]) == 0
+            rows = read_rows(out / "timings.csv")
+            keep = [i for i, col in enumerate(rows[0]) if col != "wall_ms"]
+            timings = [[row[i] for i in keep] for row in rows]
+            runs.append(([(out / name).read_bytes() for name in files], timings))
+        assert len(runs[0][1]) > 1
+        assert runs[0] == runs[1]
+
     def test_rerun_is_byte_identical_and_svg_structural(self, tmp_path):
         cfg = parse_config(SWEEP_SMALL)
         rep1 = run_study(cfg)
@@ -499,9 +553,9 @@ class TestOutputsAndCLI:
                 return map(fn, payloads)
 
         monkeypatch.setattr(exp_mod, "ProcessPoolExecutor", RecordingPool)
-        assert exp_mod._pmap(abs, [-1, -2], 64) == [1, 2]
-        assert exp_mod._pmap(abs, [-3], 64) == [3]
-        assert exp_mod._pmap(abs, [-4, -5, -6], 2) == [4, 5, 6]
+        assert exp_mod._pmap([(abs, -1), (abs, -2)], 64) == [1, 2]
+        assert exp_mod._pmap([(abs, -3)], 64) == [3]
+        assert exp_mod._pmap([(abs, -4), (abs, -5), (abs, -6)], 2) == [4, 5, 6]
         assert sizes == [2, 2]  # the one-task call ran serially
 
 
@@ -662,6 +716,19 @@ class TestSidecars:
         cfgp.write_text(SWEEP_SMALL + "\n[solver]\nmax_iter = 1\ntol = 1e-14\n")
         code = cli_main(["solve", "--config", str(cfgp), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cli_exit_two_when_a_pool_task_fails(self, tmp_path, threads):
+        # the load overflows the energy: every limit and quenched task raises
+        # FloatingPointError, in-process or in a worker (max_iter keeps the
+        # solves that meet the overflow short)
+        cfgp = tmp_path / "overflow.ini"
+        cfgp.write_text(
+            NONERGODIC_SMALL.replace("[study]\n", "[study]\nload = 1e300\n")
+            + "\n[solver]\nmax_iter = 20\n"
+        )
+        args = ["nonergodic", "--config", str(cfgp), "--out", str(tmp_path / "o")]
+        assert cli_main(args + ["--threads", str(threads)]) == 2
 
     def test_cli_exit_two_on_nonconverged_cell_problems(self, tmp_path):
         # cell tables solve only cell problems; [solver] max_iter caps them too

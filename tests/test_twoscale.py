@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homoglab.integrand import IntegrandSpec
@@ -87,14 +87,19 @@ class TestMetric:
         st.lists(st.floats(-1e6, 1e6), min_size=16, max_size=16),
         st.lists(st.floats(-1e6, 1e6), min_size=16, max_size=16),
     )
+    # a difference of one subnormal: its term underflows, so d = 0
+    @example(a=[0.0] * 16, b=[0.0] * 15 + [5e-324], c=[0.0] * 16)
     def test_metric_axioms(self, a, b, c):
         U, V, W = vec(a), vec(b), vec(c)
         duv = metric_distance(U, V)
         assert duv == metric_distance(V, U)
         assert duv <= metric_distance(U, W) + metric_distance(W, V) + 1e-12
+        # positivity holds above the metric's floor: once t_j >= 2^(j - 1022),
+        # entry j's term 2^-j t_j/(1+t_j) is a normal double, so d > 0
+        t = np.abs(U.values - V.values) / DICT2.norms
         if np.array_equal(U.values, V.values):
             assert duv == 0.0
-        else:
+        elif np.any(t >= 2.0 ** (np.arange(1, 17) - 1022)):
             assert duv > 0.0
 
     def test_dictionary_mismatch_rejected(self):
