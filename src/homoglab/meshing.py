@@ -9,13 +9,21 @@ every operator is a stencil on the nodal grid, node ix + (n+1) iy being its
 row-major [iy, ix] entry.  Elements are numbered per square (interval),
 row-major; a square's lower triangle (v00, v10, v11) comes before its upper
 one (v00, v11, v01), vertex vab being node (ix + a, iy + b).
+
+A mesh depends on (dimension, n, size) alone, so `build_mesh` hands every
+caller in a process one shared, immutable `Mesh` per key from a small LRU
+cache.  Every array it hands out is read-only: the tables of the mesh
+alone (its barycenters and volumes, and others such as the two-scale test
+cosines at the barycenters) are computed on first use by `Mesh.tabulate`
+and live exactly as long as the mesh.  A pickled mesh unpickles to the
+receiving process's shared instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from typing import Callable
+from functools import lru_cache, reduce
+from typing import Callable, Hashable
 
 import numpy as np
 
@@ -63,18 +71,44 @@ def _vertex_sum(d: int, n: int, q: np.ndarray) -> np.ndarray:
     return out.ravel()
 
 
-@dataclass
+def _barycenters(mesh: "Mesh") -> np.ndarray:
+    return _vertex_mean(mesh.dimension, mesh.n, mesh.nodes)
+
+
+def _volumes(mesh: "Mesh") -> np.ndarray:
+    h = mesh.h
+    return np.full(mesh.n_elements, h if mesh.dimension == 1 else 0.5 * h * h)
+
+
+@dataclass(frozen=True, eq=False)
 class Mesh:
     dimension: int
     n: int
     size: float
-    volumes: np.ndarray = field(init=False, repr=False)
-    barycenters: np.ndarray = field(init=False, repr=False)
+    _tables: dict = field(init=False, repr=False, default_factory=dict)
 
-    def __post_init__(self):
-        h = self.h
-        self.barycenters = _vertex_mean(self.dimension, self.n, self.nodes)
-        self.volumes = np.full(len(self.barycenters), h if self.dimension == 1 else 0.5 * h * h)
+    def __reduce__(self):
+        return _shared_mesh, (self.dimension, self.n, self.size)
+
+    def tabulate(self, key: Hashable, make: Callable[["Mesh"], np.ndarray]) -> np.ndarray:
+        """make(self), computed on the first request for key and kept,
+        read-only, for the life of the mesh: for tables of the mesh alone."""
+        table = self._tables.get(key)
+        if table is None:
+            table = make(self)
+            table.flags.writeable = False
+            self._tables[key] = table
+        return table
+
+    @property
+    def barycenters(self) -> np.ndarray:
+        """Element barycenters (n_elements, d), the one quadrature point each."""
+        return self.tabulate("barycenters", _barycenters)
+
+    @property
+    def volumes(self) -> np.ndarray:
+        """Element measures (n_elements,), all equal."""
+        return self.tabulate("volumes", _volumes)
 
     @property
     def h(self) -> float:
@@ -86,7 +120,7 @@ class Mesh:
 
     @property
     def n_elements(self) -> int:
-        return self.volumes.shape[0]
+        return len(_SIMPLICES[self.dimension]) * self.n**self.dimension
 
     @property
     def nodes(self) -> np.ndarray:
@@ -111,11 +145,17 @@ class Mesh:
 
 
 def build_mesh(dimension: int, n: int, size: float = 1.0) -> Mesh:
-    """Uniform mesh of [0, size]^d with n subdivisions per axis."""
+    """Uniform mesh of [0, size]^d with n subdivisions per axis, shared per process."""
     if n < 2:
         raise ValueError("need at least 2 subdivisions per axis")
     if dimension not in (1, 2):
         raise ValueError("dimension must be 1 or 2")
+    return _shared_mesh(dimension, n, size)
+
+
+@lru_cache(maxsize=16)
+def _shared_mesh(dimension: int, n: int, size: float) -> Mesh:
+    """The process's one mesh per (dimension, n, size), least recently used evicted."""
     return Mesh(dimension=dimension, n=n, size=size)
 
 
@@ -233,12 +273,6 @@ class DiscreteField:
     def zeros(mesh: Mesh, constraint: str = DIRICHLET_ZERO) -> "DiscreteField":
         return DiscreteField(mesh=mesh, values=np.zeros(mesh.n_nodes), constraint=constraint)
 
-    @staticmethod
-    def from_function(
-        mesh: Mesh, fn: Callable[[np.ndarray], np.ndarray], constraint: str = DIRICHLET_ZERO
-    ) -> "DiscreteField":
-        return DiscreteField(mesh=mesh, values=np.asarray(fn(mesh.nodes), dtype=float), constraint=constraint)
-
     def check(self, tol: float = 1e-12) -> None:
         """Verify the constraint holds on the nodal values."""
         c = Constraint(self.mesh, self.constraint)
@@ -257,11 +291,6 @@ class DiscreteField:
 
     def at_barycenters(self) -> np.ndarray:
         return _vertex_mean(self.mesh.dimension, self.mesh.n, self.values)
-
-    def lp_norm(self, p: float) -> float:
-        """Discrete L^p norm by barycenter quadrature."""
-        vals = np.abs(self.at_barycenters()) ** p
-        return float(_dot(self.mesh.volumes, vals)) ** (1.0 / p)
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the P1 interpolant at arbitrary points (..., d)."""

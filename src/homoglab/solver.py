@@ -339,12 +339,16 @@ def _pcg(
     `A` and `precond` are matvecs: the SPD matrix and an SPD approximation of
     its inverse (on the torus, of its pseudo-inverse on mean-zero vectors),
     here the stacked stiffness and the block-spectral inverse of
-    `_linear_spd_solve`.
+    `_linear_spd_solve`.  A non-finite norm of the right-hand side or of a
+    residual can never meet the relative stop, so it ends the solve at
+    once, not converged.
     """
     bnorm = _norm(b)
     x = np.zeros_like(b)
     if bnorm == 0.0:
         return x, 0, 0.0, True
+    if not np.isfinite(bnorm):
+        return x, 0, bnorm, False
     r = b.copy()
     rnorm = bnorm
     z = precond(r)
@@ -360,6 +364,8 @@ def _pcg(
         rnorm = _norm(r)
         if rnorm <= tol * bnorm:
             return x, it, rnorm, True
+        if not np.isfinite(rnorm):
+            return x, it, rnorm, False
         z = precond(r)
         rz_new = float(_dot(r, z))
         pvec = z + (rz_new / rz) * pvec

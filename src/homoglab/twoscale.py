@@ -6,6 +6,12 @@ pairings of discrete fields against them, measures distances in the
 truncated weighted metric on pairing vectors, checks the unfolding isometry
 empirically, and clusters per-realization pairing trajectories into an
 empirical Young measure.
+
+The tensor cosines phi_Q at a mesh's barycenters are tabulated once per
+mesh (`Mesh.tabulate`), so every pairing on a shared mesh reuses them.  A
+pairing evaluates the field once per distinct probe set and derives every
+observable on those probes (the value and the indicators) from that one
+evaluation.
 """
 
 from __future__ import annotations
@@ -54,6 +60,11 @@ def cosine_eval(k: tuple[int, ...], pts: np.ndarray) -> np.ndarray:
         if ka > 0:
             out = out * np.cos(np.pi * ka * pts[..., axis])
     return out
+
+
+def _cosine_table(mesh: Mesh, k: tuple[int, ...]) -> np.ndarray:
+    """The tensor cosine k at the mesh's barycenters, tabulated once per mesh."""
+    return mesh.tabulate(("cosine", k), lambda m: cosine_eval(k, m.barycenters))
 
 
 def cosine_lq_norm(k: tuple[int, ...], q: float) -> float:
@@ -187,6 +198,26 @@ class PairingVector:
             raise ValueError("value count does not match dictionary and blocks")
 
 
+def _observable_values(
+    observables: Sequence[ObservableSpec], r: Realization, shifts: np.ndarray
+) -> dict[str, np.ndarray]:
+    """`ObservableSpec.evaluate` of each observable at the shifts, by name,
+    with the field evaluated once per distinct probe set."""
+    probe_vals: dict[tuple, np.ndarray] = {}
+    out: dict[str, np.ndarray] = {}
+    for obs in observables:
+        if obs.name in out:
+            continue
+        if not obs.probes:
+            out[obs.name] = obs.evaluate(r, shifts)
+            continue
+        if obs.probes not in probe_vals:
+            pts = np.stack([shifts + np.asarray(z, dtype=float) for z in obs.probes])
+            probe_vals[obs.probes] = eval_coefficient(r, pts)
+        out[obs.name] = obs.g(probe_vals[obs.probes], *obs.g_args)
+    return out
+
+
 def _stacked_norm(blocks: np.ndarray, p: float, vol: np.ndarray) -> float:
     """(sum over the blocks (k, n_elements) of the quadrature of |block|^p)^(1/p)."""
     return float(_dot(np.abs(blocks) ** p, vol).sum()) ** (1.0 / p)
@@ -220,17 +251,15 @@ def quenched_pairing(
     mesh = u.mesh
     blocks = _field_blocks(u, include_gradient)
     # each distinct observable times the blocks, then one contraction per
-    # entry against its cosine; the (uniform) element volume comes last
-    micro = mesh.barycenters / eps
-    obs_blocks: dict[str, np.ndarray] = {}
-    cos_vals: dict[tuple[int, ...], np.ndarray] = {}
+    # entry of that observable against its cosine; the (uniform) element
+    # volume comes last
+    ovals = _observable_values([e.obs for e in dico.entries], r, mesh.barycenters / eps)
     vals = np.empty((len(blocks), len(dico)))
-    for j, e in enumerate(dico.entries):
-        if e.obs.name not in obs_blocks:
-            obs_blocks[e.obs.name] = e.obs.evaluate(r, micro) * blocks
-        if e.cos_k not in cos_vals:
-            cos_vals[e.cos_k] = cosine_eval(e.cos_k, mesh.barycenters)
-        vals[:, j] = _dot(obs_blocks[e.obs.name], cos_vals[e.cos_k])
+    for name, ov in ovals.items():
+        obs_block = ov * blocks
+        for j, e in enumerate(dico.entries):
+            if e.obs.name == name:
+                vals[:, j] = _dot(obs_block, _cosine_table(mesh, e.cos_k))
     return PairingVector(
         values=(vals * mesh.volumes[0]).ravel(),
         eps=eps,
@@ -365,8 +394,7 @@ def limit_pairing(
     cos_int: dict[tuple[int, ...], np.ndarray] = {}
     for e in dico.entries:
         if e.cos_k not in cos_int:
-            cos = cosine_eval(e.cos_k, mesh.barycenters)
-            cos_int[e.cos_k] = _dot(blocks, cos) * mesh.volumes[0]
+            cos_int[e.cos_k] = _dot(blocks, _cosine_table(mesh, e.cos_k)) * mesh.volumes[0]
     values = [np.array([exp_obs[e.obs.name] * cos_int[e.cos_k][0] for e in dico.entries])]
     d = mesh.dimension
     if mode == "gradient":
@@ -374,10 +402,10 @@ def limit_pairing(
         # paired with the observable > , estimated by torus averages
         kappa: dict[str, np.ndarray] = {name: np.zeros((d, d)) for name in obs_list}
         for cs in corrector_sets:
-            for name, obs in obs_list.items():
-                ovals = obs.evaluate(cs.realization, cs.mesh.barycenters)
+            ovals = _observable_values(list(obs_list.values()), cs.realization, cs.mesh.barycenters)
+            for name, ov in ovals.items():
                 for cp in range(d):
-                    kappa[name][cp] += _dot(ovals, cs.grad_fields[cp]) / len(ovals)
+                    kappa[name][cp] += _dot(ov, cs.grad_fields[cp]) / len(ov)
         for name in kappa:
             kappa[name] /= len(corrector_sets)
         for c in range(d):

@@ -9,6 +9,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from homoglab import experiments
 from homoglab.cli import main as cli_main
 from homoglab.config import ConfigError, parse_config
 from homoglab.experiments import (
@@ -719,9 +720,9 @@ class TestSidecars:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_cli_exit_two_when_a_pool_task_fails(self, tmp_path, threads):
-        # the load overflows the energy: every limit and quenched task raises
-        # FloatingPointError, in-process or in a worker (max_iter keeps the
-        # solves that meet the overflow short)
+        # the load overflows the norm of every right-hand side, so every limit
+        # and quenched solve stops at once, not converged, in-process or in a
+        # worker
         cfgp = tmp_path / "overflow.ini"
         cfgp.write_text(
             NONERGODIC_SMALL.replace("[study]\n", "[study]\nload = 1e300\n")
@@ -729,6 +730,28 @@ class TestSidecars:
         )
         args = ["nonergodic", "--config", str(cfgp), "--out", str(tmp_path / "o")]
         assert cli_main(args + ["--threads", str(threads)]) == 2
+
+    def test_overflowing_load_reports_nonconvergence(self, tmp_path):
+        # without an iteration cap the linear CG stops on the non-finite norm
+        # instead of running out its budget, and the outputs are written
+        cfgp = tmp_path / "overflow.ini"
+        cfgp.write_text(NONERGODIC_SMALL.replace("[study]\n", "[study]\nload = 1e300\n"))
+        out = tmp_path / "o"
+        assert cli_main(["nonergodic", "--config", str(cfgp), "--out", str(out)]) == 2
+        assert (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cli_exit_two_when_a_task_raises(self, tmp_path, monkeypatch, threads):
+        # a solver failure inside a task, in-process or in a (forked) worker
+        def failing(*args, **kwargs):
+            raise FloatingPointError("energy evaluated to a non-finite value")
+
+        monkeypatch.setattr(experiments, "minimize", failing)
+        cfgp = tmp_path / "small.ini"
+        cfgp.write_text(NONERGODIC_SMALL)
+        args = ["nonergodic", "--config", str(cfgp), "--out", str(tmp_path / "o")]
+        assert cli_main(args + ["--threads", str(threads)]) == 2
+        assert not (tmp_path / "o" / "report.csv").exists()
 
     def test_cli_exit_two_on_nonconverged_cell_problems(self, tmp_path):
         # cell tables solve only cell problems; [solver] max_iter caps them too

@@ -1,5 +1,8 @@
 """Meshes, constraints, field evaluation."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from homoglab.meshing import (
 )
 from homoglab.solver import _Objective, assemble_energy
 
+from fields import lp_norm
 from triangulation import triangulation
 
 
@@ -31,6 +35,36 @@ class TestBuild:
     def test_total_measure_is_one(self, d, n):
         m = build_mesh(d, n)
         assert m.volumes.sum() == pytest.approx(1.0, abs=1e-14)
+
+    def test_shared_per_arguments(self):
+        m = build_mesh(2, 6)
+        assert build_mesh(2, 6) is m and build_mesh(2, 6, 1.0) is m
+        assert build_mesh(2, 6, 2.0) is not m and build_mesh(1, 6) is not m
+        # a pickled mesh comes back as the process's shared one
+        assert pickle.loads(pickle.dumps(m)) is m
+
+    def test_read_only(self):
+        m = build_mesh(2, 6)
+        with pytest.raises(ValueError):
+            m.barycenters[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            m.volumes[0] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.n = 7
+
+    def test_tables_made_once(self):
+        m = build_mesh(1, 6)
+        made = []
+
+        def make(mesh):
+            made.append(mesh)
+            return mesh.barycenters[:, 0] ** 2
+
+        t = m.tabulate("squares", make)
+        assert m.tabulate("squares", make) is t and made == [m]
+        assert np.array_equal(t, m.barycenters[:, 0] ** 2)
+        with pytest.raises(ValueError):
+            t[0] = 0.0
 
     def test_rejects_tiny_mesh(self):
         with pytest.raises(ValueError):
@@ -150,8 +184,8 @@ class TestEvaluation:
     def test_lp_norm_of_constant(self):
         m = build_mesh(2, 8)
         f = DiscreteField(mesh=m, values=np.full(m.n_nodes, 3.0))
-        assert f.lp_norm(2.0) == pytest.approx(3.0, abs=1e-12)
-        assert f.lp_norm(3.0) == pytest.approx(3.0, abs=1e-12)
+        assert lp_norm(f, 2.0) == pytest.approx(3.0, abs=1e-12)
+        assert lp_norm(f, 3.0) == pytest.approx(3.0, abs=1e-12)
 
     def test_lp_distance_between_meshes(self):
         coarse = build_mesh(1, 8)

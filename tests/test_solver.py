@@ -447,6 +447,14 @@ class TestSpectralPCG:
         res = cell_problem(sample_realization(CB2, 0), 8, V2, [1.0, 0.0], n_per_cell=n_per_cell)
         assert res.converged and res.iterations <= 30
 
+    @pytest.mark.parametrize("entry", [np.inf, 1e300])
+    def test_nonfinite_norm_stops_at_once(self, entry):
+        # an infinite right-hand side, or one whose norm overflows, can never
+        # meet the relative stop: not converged after at most one iteration
+        b = np.full(16, entry)
+        x, iters, rnorm, converged = solver_mod._pcg(lambda v: 2.0 * v, b, 1e-8, 50_000, np.copy)
+        assert not converged and iters <= 1 and not np.isfinite(rnorm)
+
     def test_1d_iterations(self):
         E = assemble_energy([sample_realization(CB1, 0)], 1 / 64, build_mesh(1, 512), V2, load=1.0)
         res = minimize(E)

@@ -5,15 +5,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from homoglab import twoscale
 from homoglab.integrand import IntegrandSpec
-from homoglab.medium import DiscreteValues, EnsembleSpec, periodize, sample_realization
-from homoglab.meshing import DiscreteField, build_mesh
+from homoglab.medium import (
+    DiscreteValues,
+    EnsembleSpec,
+    eval_coefficient,
+    observable_expectation,
+    periodize,
+    sample_realization,
+)
+from homoglab.meshing import DiscreteField, _dot, build_mesh
 from homoglab.solver import assemble_energy, minimize
 from homoglab.twoscale import (
     FieldRecipe,
     PairingVector,
     _average_pairings,
     build_dictionary,
+    cosine_eval,
     cosine_lq_norm,
     empirical_young_measure,
     limit_pairing,
@@ -23,6 +32,8 @@ from homoglab.twoscale import (
     sample_correctors,
     unfold_isometry_check,
 )
+
+from fields import from_function
 
 CB1 = EnsembleSpec(dimension=1, cells=DiscreteValues((1.0, 4.0), (0.5, 0.5)), seed=21)
 CB2 = EnsembleSpec(dimension=2, cells=DiscreteValues((1.0, 4.0), (0.5, 0.5)), seed=21)
@@ -124,7 +135,7 @@ class TestPairings:
 
     def test_identity_entry_is_plain_integral(self):
         mesh = build_mesh(2, 16)
-        u = DiscreteField.from_function(mesh, lambda x: x[:, 0] * (1 - x[:, 1]))
+        u = from_function(mesh, lambda x: x[:, 0] * (1 - x[:, 1]))
         pv = quenched_pairing(u, sample_realization(CB2, 1), 1 / 4, DICT2)
         assert pv.values[0] == pytest.approx(
             float(np.dot(mesh.volumes, u.at_barycenters())), abs=1e-14
@@ -142,7 +153,7 @@ class TestPairings:
         mesh = build_mesh(1, 32)
         dic = build_dictionary(CB1, 1, 2, 2.0, max_entries=8)
         r = sample_realization(CB1, 0)
-        u = DiscreteField.from_function(mesh, lambda x: np.sin(np.pi * x[:, 0]))
+        u = from_function(mesh, lambda x: np.sin(np.pi * x[:, 0]))
         m = mean_pairing([(r, u)], 1 / 8, dic)
         q = quenched_pairing(u, r, 1 / 8, dic)
         assert np.array_equal(m.values, q.values)
@@ -153,7 +164,7 @@ class TestPairings:
         pairs = []
         for i in range(5):
             r = sample_realization(CB1, i)
-            pairs.append((r, DiscreteField.from_function(mesh, lambda x: x[:, 0] ** 2)))
+            pairs.append((r, from_function(mesh, lambda x: x[:, 0] ** 2)))
         m = mean_pairing(pairs, 1 / 8, dic)
         stack = np.stack([quenched_pairing(u, r, 1 / 8, dic).values for r, u in pairs])
         assert np.array_equal(m.values, stack.mean(axis=0))
@@ -163,7 +174,7 @@ class TestPairings:
         # the quenched-vs-mean study averages its task pairings with the
         # helper behind mean_pairing: same values, norm, blocks and stderr
         mesh = build_mesh(2, 16)
-        u = DiscreteField.from_function(mesh, lambda x: x[:, 0] * x[:, 1])
+        u = from_function(mesh, lambda x: x[:, 0] * x[:, 1])
         pairs = [(sample_realization(CB2, i), u) for i in range(3)]
         m = mean_pairing(pairs, 1 / 4, DICT2, include_gradient=True)
         vecs = [quenched_pairing(u, r, 1 / 4, DICT2, include_gradient=True) for r, u in pairs]
@@ -200,7 +211,7 @@ class TestLimitPairing:
     def test_function_mode_identity_entry(self):
         mesh = build_mesh(1, 64)
         dic = build_dictionary(CB1, 1, 2, 2.0, max_entries=8)
-        u = DiscreteField.from_function(mesh, lambda x: x[:, 0] * (1 - x[:, 0]))
+        u = from_function(mesh, lambda x: x[:, 0] * (1 - x[:, 0]))
         lim = limit_pairing(u, dic, mode="function")
         assert lim.eps == 0.0
         assert lim.values[0] == pytest.approx(
@@ -212,7 +223,7 @@ class TestLimitPairing:
         dic = build_dictionary(const, 1, 2, 2.0, max_entries=8)
         csets = sample_correctors(const, 4, V2, n_samples=2, n_per_cell=8)
         mesh = build_mesh(1, 64)
-        u = DiscreteField.from_function(mesh, lambda x: np.sin(np.pi * x[:, 0]))
+        u = from_function(mesh, lambda x: np.sin(np.pi * x[:, 0]))
         lim = limit_pairing(u, dic, mode="gradient", corrector_sets=csets)
         # gradient block against the identity observable = plain integral
         j = dic.phi_ids.index("one*cos(1,)")
@@ -226,7 +237,7 @@ class TestLimitPairing:
         dic = build_dictionary(CB1, 1, 2, 2.0, max_entries=8)
         csets = sample_correctors(CB1, 16, V2, n_samples=4, n_per_cell=8)
         mesh = build_mesh(1, 64)
-        u = DiscreteField.from_function(mesh, lambda x: x[:, 0] * (1 - x[:, 0]))
+        u = from_function(mesh, lambda x: x[:, 0] * (1 - x[:, 0]))
         lim = limit_pairing(u, dic, mode="gradient", corrector_sets=csets)
         j = dic.phi_ids.index("one*cos(1,)")
         plain = float(
@@ -239,6 +250,95 @@ class TestLimitPairing:
         u = DiscreteField.zeros(build_mesh(1, 16))
         with pytest.raises(ValueError):
             limit_pairing(u, dic, mode="gradient")
+
+
+def _oracle_blocks(u, include_gradient):
+    rows = [u.at_barycenters()]
+    if include_gradient:
+        rows += list(u.gradients().T)
+    return np.stack(rows)
+
+
+def _quenched_oracle(u, r, eps, dico, include_gradient):
+    """Entry by entry from the definitions: every entry evaluates its own
+    observable and cosine, nothing shared between entries or calls."""
+    mesh = u.mesh
+    blocks = _oracle_blocks(u, include_gradient)
+    vals = np.empty((len(blocks), len(dico)))
+    for j, e in enumerate(dico.entries):
+        obs = e.obs.evaluate(r, mesh.barycenters / eps)
+        vals[:, j] = _dot(obs * blocks, cosine_eval(e.cos_k, mesh.barycenters))
+    return (vals * mesh.volumes[0]).ravel()
+
+
+def _limit_oracle(u, dico, corrector_sets=None):
+    """limit_pairing entry by entry; the corrector sets add the gradient blocks."""
+    mesh, d = u.mesh, u.mesh.dimension
+    blocks = _oracle_blocks(u, corrector_sets is not None)
+    out = []
+    for c in range(len(blocks)):
+        for e in dico.entries:
+            ints = _dot(blocks, cosine_eval(e.cos_k, mesh.barycenters)) * mesh.volumes[0]
+            mean = observable_expectation(e.obs, dico.ensemble)
+            if c == 0:
+                out.append(mean * ints[0])
+                continue
+            kappa = np.zeros((d, d))
+            for cs in corrector_sets:
+                obs = e.obs.evaluate(cs.realization, cs.mesh.barycenters)
+                for cp in range(d):
+                    kappa[cp] += _dot(obs, cs.grad_fields[cp]) / len(obs)
+            kappa /= len(corrector_sets)
+            out.append(mean * ints[c] + sum(kappa[cp, c - 1] * ints[1 + cp] for cp in range(d)))
+    return np.asarray(out)
+
+
+class TestPairingOracles:
+    """Pairings on shared meshes and tables equal the unshared definitions bit for bit."""
+
+    CASES = {
+        1: (CB1, 32, 1 / 8, lambda x: np.sin(np.pi * x[:, 0]) + x[:, 0] ** 2),
+        2: (CB2, 16, 1 / 4, lambda x: x[:, 0] * (1 - x[:, 1]) + 0.3 * x[:, 1] ** 2),
+    }
+
+    @pytest.mark.parametrize("include_gradient", [False, True])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_quenched_pairing_matches_oracle(self, d, include_gradient):
+        spec, n, eps, fn = self.CASES[d]
+        dic = build_dictionary(spec, 2, 2, 2.0, max_entries=40)
+        u = from_function(build_mesh(d, n), fn)
+        # the second realization pairs against the tables the first one made
+        for seed in (0, 1):
+            r = sample_realization(spec, seed)
+            pv = quenched_pairing(u, r, eps, dic, include_gradient=include_gradient)
+            assert np.array_equal(pv.values, _quenched_oracle(u, r, eps, dic, include_gradient))
+
+    @pytest.mark.parametrize("mode", ["function", "gradient"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_limit_pairing_matches_oracle(self, d, mode):
+        spec, n, _, fn = self.CASES[d]
+        dic = build_dictionary(spec, 2, 2, 2.0, max_entries=40)
+        u = from_function(build_mesh(d, n), fn)
+        csets = None
+        if mode == "gradient":
+            csets = sample_correctors(spec, 4, V2, n_samples=2, n_per_cell=4)
+        lim = limit_pairing(u, dic, mode=mode, corrector_sets=csets)
+        assert np.array_equal(lim.values, _limit_oracle(u, dic, csets))
+
+    def test_field_evaluated_once_per_probe(self, monkeypatch):
+        # radius 1: the one probe (0, 0) carries the value and both indicators
+        calls = []
+
+        def counting(r, x):
+            calls.append(np.shape(x))
+            return eval_coefficient(r, x)
+
+        monkeypatch.setattr(twoscale, "eval_coefficient", counting)
+        dic = build_dictionary(CB2, 1, 1, 2.0)
+        assert {e.obs.name for e in dic.entries} >= {"val(0, 0)", "ind(0, 0)=1", "ind(0, 0)=4"}
+        u = from_function(build_mesh(2, 8), lambda x: x[:, 0])
+        quenched_pairing(u, sample_realization(CB2, 0), 1 / 2, dic, include_gradient=True)
+        assert len(calls) == 1
 
 
 class TestIsometry:
@@ -309,11 +409,11 @@ class TestConvergenceLemmas:
         mesh = build_mesh(1, 256)
         dic = build_dictionary(CB1, 1, 2, 2.0, max_entries=8)
         r = sample_realization(CB1, 7)
-        u = DiscreteField.from_function(mesh, lambda x: x[:, 0] * (1 - x[:, 0]))
+        u = from_function(mesh, lambda x: x[:, 0] * (1 - x[:, 0]))
         lim = limit_pairing(u, dic, mode="function")
         dists = []
         for eps in (1 / 4, 1 / 16, 1 / 64, 1 / 256):
-            pert = DiscreteField.from_function(
+            pert = from_function(
                 mesh, lambda x: x[:, 0] * (1 - x[:, 0]) + eps * np.sin(3 * np.pi * x[:, 0])
             )
             dists.append(metric_distance(quenched_pairing(pert, r, eps, dic), lim))
