@@ -15,7 +15,9 @@ worker count.
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -38,7 +40,7 @@ from .reporting import (
     render_loglog_svg,
     write_csv,
 )
-from .solver import assemble_energy, cell_problem, effective_integrand, minimize
+from .solver import MinimizeResult, assemble_energy, cell_problem, effective_integrand, minimize
 from .twoscale import (
     Dictionary,
     PairingVector,
@@ -118,17 +120,52 @@ def _pmap(tasks: list, threads: int) -> list:
     return [fn(payload) for fn, payload in tasks]
 
 
+def _least_squares(rows: list[list[float]], rhs: list[float]) -> tuple[list[float], float]:
+    """Least-squares solution of a small system (a few unknowns) and its
+    residual sum of squares, by Householder QR in plain floats: no LAPACK.
+
+    The residual is 0.0 when there are no more equations than unknowns; an
+    unknown whose pivot falls below numpy's lstsq cutoff is set to 0.
+    """
+    m, k = len(rows), len(rows[0])
+    a = [list(row) + [b] for row, b in zip(rows, rhs)]  # [A | b], reduced in place
+    for j in range(k):
+        norm = math.hypot(*(a[i][j] for i in range(j, m)))
+        if norm == 0.0:
+            continue
+        alpha = -math.copysign(norm, a[j][j])
+        v = [a[j][j] - alpha] + [a[i][j] for i in range(j + 1, m)]
+        vv = math.fsum(x * x for x in v)
+        for c in range(j, k + 1):
+            f = 2.0 * math.fsum(x * a[j + i][c] for i, x in enumerate(v)) / vv
+            for i, x in enumerate(v):
+                a[j + i][c] -= f * x
+    cutoff = max(m, k) * sys.float_info.epsilon * max(abs(a[j][j]) for j in range(k))
+    x = [0.0] * k
+    for j in reversed(range(k)):
+        if abs(a[j][j]) > cutoff:
+            x[j] = (a[j][k] - math.fsum(a[j][c] * x[c] for c in range(j + 1, k))) / a[j][j]
+    return x, math.fsum(a[i][k] ** 2 for i in range(k, m))
+
+
+def _median(values: list[float]) -> float:
+    """np.median of a list of floats, bit for bit, without the numpy.ma
+    import that np.median's first call costs."""
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    s = sorted(values)
+    mid = len(s) // 2
+    return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
+
+
 def _fit_rate(eps: list[float], vals: list[float]) -> tuple[float, float]:
     """Least-squares slope of log(val) vs log(eps) and the fit residual."""
     pairs = [(e, v) for e, v in zip(eps, vals) if v > 0]
     if len(pairs) < 2:
         return float("nan"), float("nan")
-    x = np.log([e for e, _ in pairs])
-    y = np.log([v for _, v in pairs])
-    A = np.stack([x, np.ones_like(x)], axis=1)
-    coef, res, _, _ = np.linalg.lstsq(A, y, rcond=None)
-    residual = float(np.sqrt(res[0] / len(x))) if res.size else 0.0
-    return float(coef[0]), residual
+    rows = [[math.log(e), 1.0] for e, _ in pairs]
+    (slope, _), res = _least_squares(rows, [math.log(v) for _, v in pairs])
+    return slope, math.sqrt(res / len(pairs))
 
 
 def _reference_coefficient(cfg: ExperimentConfig, delta: float = 0.0) -> tuple[float, float, bool]:
@@ -155,9 +192,8 @@ def _reference_coefficient(cfg: ExperimentConfig, delta: float = 0.0) -> tuple[f
     return c, err, all(r.converged for r in rows)
 
 
-def _homogenized_solve(cfg: ExperimentConfig, c_hom: float):
-    """Fine-mesh minimizer of the constant-coefficient limit problem:
-    (field, energy, converged)."""
+def _homogenized_solve(cfg: ExperimentConfig, c_hom: float) -> MinimizeResult:
+    """Fine-mesh minimization of the constant-coefficient limit problem."""
     from .integrand import IntegrandSpec
 
     mesh = build_mesh(cfg.ensemble.dimension, cfg.fine_n)
@@ -170,8 +206,7 @@ def _homogenized_solve(cfg: ExperimentConfig, c_hom: float):
     hom_V = IntegrandSpec(p=cfg.integrand.p)
     r = sample_realization(hom_ens, 0)
     E = assemble_energy([r], 1.0, mesh, hom_V, load=cfg.load)
-    res = minimize(E, tol=min(cfg.tol, 1e-10), max_iter=cfg.max_iter)
-    return res.fields[0], res.energy, res.converged
+    return minimize(E, tol=min(cfg.tol, 1e-10), max_iter=cfg.max_iter)
 
 
 def _check_resolution(cfg: ExperimentConfig, force: bool) -> None:
@@ -245,14 +280,14 @@ def _limit_task(payload):
             max_iter=cfg.max_iter,
         )
     c_hom, c_err, c_ok = _reference_coefficient(cfg)
-    u_hom, min_hom, u_ok = _homogenized_solve(cfg, c_hom)
+    hom = _homogenized_solve(cfg, c_hom)
     return {
         "c_hom": c_hom,
         "c_hom_stderr": c_err,
-        "u_hom": u_hom,
-        "min_hom": min_hom,
-        "limit": limit_pairing(u_hom, dico, mode=mode, corrector_sets=csets),
-        "converged": c_ok and u_ok and all(c.converged for c in csets or ()),
+        "u_hom": hom.fields[0],
+        "min_hom": hom.energy,
+        "limit": limit_pairing(hom.fields[0], dico, mode=mode, corrector_sets=csets),
+        "converged": c_ok and hom.converged and all(c.converged for c in csets or ()),
         "wall_ms": (time.perf_counter() - t0) * 1e3,
     }
 
@@ -292,11 +327,12 @@ def run_homogenization_sweep(
     for eps in cfg.eps_list:
         sub = [res for res in results if res["eps"] == eps]
         mesh = build_mesh(cfg.ensemble.dimension, sub[0]["mesh_n"])
+        hom_values = u_hom.eval(mesh.barycenters)  # shared by the realizations
         gaps, dists = [], []
         for res in sub:
             u = DiscreteField(mesh=mesh, values=res["nodal"])
             gap = abs(res["min_energy"] - min_hom)
-            dlp = lp_distance(u, u_hom, cfg.integrand.p)
+            dlp = lp_distance(u, hom_values, cfg.integrand.p)
             gaps.append(gap)
             dists.append(dlp)
             rep.rows.append(
@@ -316,8 +352,8 @@ def run_homogenization_sweep(
             )
             rep.timing_rows.append(["sweep", f"eps={eps:g},seed={res['seed']}", res["wall_ms"]])
             rep.any_nonconverged |= not res["converged"]
-        gap_med.append(float(np.median(gaps)))
-        dist_med.append(float(np.median(dists)))
+        gap_med.append(_median(gaps))
+        dist_med.append(_median(dists))
     rate, resid = _fit_rate(list(cfg.eps_list), gap_med)
     rep.rate_rows.append(["sweep", "median_energy_gap", rate, resid])
     rate2, resid2 = _fit_rate(list(cfg.eps_list), dist_med)
@@ -356,12 +392,12 @@ def _corner_task(payload):
     cfg, delta = payload
     t0 = time.perf_counter()
     c, _, c_ok = _reference_coefficient(cfg, delta=delta)
-    _, min_hom, u_ok = _homogenized_solve(cfg, c)
+    hom = _homogenized_solve(cfg, c)
     return {
         "delta": delta,
         "c": c,
-        "min_hom": min_hom,
-        "converged": c_ok and u_ok,
+        "min_hom": hom.energy,
+        "converged": c_ok and hom.converged,
         "wall_ms": (time.perf_counter() - t0) * 1e3,
     }
 
@@ -373,11 +409,9 @@ def _rational_extrapolate(deltas, values) -> float:
     rational function of the penalty strength, so three points recover the
     limit; more points are fit by least squares.
     """
-    d = np.asarray(deltas, dtype=float)
-    c = np.asarray(values, dtype=float)
-    A = np.stack([np.ones_like(d), d, -c * d], axis=1)
-    sol, *_ = np.linalg.lstsq(A, c, rcond=None)
-    return float(sol[0])
+    rows = [[1.0, float(d), -float(c) * float(d)] for d, c in zip(deltas, values)]
+    sol, _ = _least_squares(rows, [float(c) for c in values])
+    return sol[0]
 
 
 def run_regularization_diagram(
@@ -460,8 +494,9 @@ def run_regularization_diagram(
         c_floor = min(c_by_delta[dl][0] for dl in cfg.delta_list)
         if not (0.0 < c_star <= c_floor + 1e-12):
             c_star = c_by_delta[delta_min][0]
-        _, path_hom_route, converged = _homogenized_solve(cfg, c_star)
-        rep.any_nonconverged |= not converged
+        hom = _homogenized_solve(cfg, c_star)
+        path_hom_route = hom.energy
+        rep.any_nonconverged |= not hom.converged
     else:
         c_star = c_by_delta[delta_min][0]
         path_hom_route = c_by_delta[delta_min][1]
@@ -498,7 +533,9 @@ def run_regularization_diagram(
 
 def _own_limit_task(payload):
     """Realization i's own limit: the cell problem on its fundamental cell,
-    the homogenized solve and the limit pairing against its torus averages."""
+    the homogenized solve and the limit pairing against its torus averages.
+    The row's energy, iterations and gradient norm are the homogenized
+    solve's."""
     cfg, dico, i = payload
     t0 = time.perf_counter()
     r = sample_realization(cfg.ensemble, i)
@@ -511,14 +548,14 @@ def _own_limit_task(payload):
         tol=cfg.tol,
         max_iter=cfg.max_iter,
     )
-    u_hom, min_hom, u_ok = _homogenized_solve(cfg, cfg.integrand.p * res.value)
+    hom = _homogenized_solve(cfg, cfg.integrand.p * res.value)
     return {
         "seed": i,
-        "min_hom": min_hom,
-        "iters": res.iterations,
-        "grad_norm": res.grad_norm,
-        "limit": limit_pairing(u_hom, dico, mode="function", realizations=[r]),
-        "converged": res.converged and u_ok,
+        "min_hom": hom.energy,
+        "iters": hom.iterations,
+        "grad_norm": hom.grad_norm,
+        "limit": limit_pairing(hom.fields[0], dico, mode="function", realizations=[r]),
+        "converged": res.converged and hom.converged,
         "wall_ms": (time.perf_counter() - t0) * 1e3,
     }
 
@@ -596,14 +633,12 @@ def run_nonergodic_study(cfg: ExperimentConfig, threads: int = 1, force: bool = 
         med = []
         for eps in xs:
             med.append(
-                float(
-                    np.median(
-                        [
-                            row.dist_pairing
-                            for row in rep.rows
-                            if row.eps == eps and row.dist_pairing is not None
-                        ]
-                    )
+                _median(
+                    [
+                        row.dist_pairing
+                        for row in rep.rows
+                        if row.eps == eps and row.dist_pairing is not None
+                    ]
                 )
             )
         rep.series["median distance to own limit"] = (xs, tuple(med))

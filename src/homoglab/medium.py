@@ -208,7 +208,8 @@ def eval_coefficient(r: Realization, x: Sequence[float] | np.ndarray) -> np.ndar
     The cell containing x is floor(x + t - y): cells are the translates
     i + y + [0,1)^d of the shifted unit lattice.  When the points' cells
     span a box of no more cells than there are points, each cell of the box
-    is hashed once and the points index that table.
+    is hashed once (the period applied to its indices) and the points take
+    their values from that table by one flat index.
     """
     pts = np.asarray(x, dtype=float)
     scalar = pts.ndim == 1
@@ -216,25 +217,32 @@ def eval_coefficient(r: Realization, x: Sequence[float] | np.ndarray) -> np.ndar
         raise ValueError(f"points must have trailing dimension {r.dimension}")
     if not np.isfinite(pts).all():
         raise ValueError("evaluation points must be finite")
-    cells = [
-        np.floor(pts[..., a] + t - y).astype(np.int64)
-        for a, (t, y) in enumerate(zip(r.translation, r.offset))
-    ]
-    if r.period is not None:
-        cells = [np.mod(c, r.period) for c in cells]
-    n, d = cells[0].size, len(cells)
+    flat = pts.reshape(-1, r.dimension)
+    cells = []
+    for a, (t, y) in enumerate(zip(r.translation, r.offset)):
+        c = flat[:, a] + t
+        c -= y
+        cells.append(np.floor(c, out=c).astype(np.int64))
+    n = len(flat)
     lo = [int(c.min()) for c in cells] if n else []
     extent = [int(c.max()) - l + 1 for c, l in zip(cells, lo)]
     if n and math.prod(extent) <= n:
         # the box's index axes, shaped to broadcast to the (extent) grid
         box = [
-            np.arange(l, l + e).reshape((e,) + (1,) * (d - 1 - a))
+            np.arange(l, l + e).reshape((e,) + (1,) * (r.dimension - 1 - a))
             for a, (l, e) in enumerate(zip(lo, extent))
         ]
-        table = _cell_values(r.spec.cells, r.seed, None, box)
-        vals = table[tuple(c - l for c, l in zip(cells, lo))]
+        table = _cell_values(r.spec.cells, r.seed, r.period, box).ravel()
+        index = cells[0]
+        index -= lo[0]
+        for c, l, e in zip(cells[1:], lo[1:], extent[1:]):
+            index *= e
+            index += c
+            index -= l
+        vals = table.take(index)
     else:
-        vals = _cell_values(r.spec.cells, r.seed, None, cells)
+        vals = _cell_values(r.spec.cells, r.seed, r.period, cells)
+    vals = vals.reshape(pts.shape[:-1])
     return float(vals) if scalar else vals
 
 

@@ -52,12 +52,22 @@ _SIMPLICES = {
 }
 
 
+# points per pass of `DiscreteField.eval`, which bounds its temporaries
+_EVAL_BLOCK = 8192
+
+
 def _vertex_mean(d: int, n: int, values: np.ndarray) -> np.ndarray:
     """Mean over each element's vertices, summed in vertex order,
     (n_nodes, ...) -> (n_elements, ...)."""
     u = values.reshape((n + 1,) * d + values.shape[1:])
-    means = [reduce(np.add, [u[v] for v in s]) / len(s) for s in _SIMPLICES[d]]
-    return np.stack(means, axis=d).reshape((-1,) + values.shape[1:])
+    out = np.empty((n,) * d + (len(_SIMPLICES[d]),) + values.shape[1:])
+    for e, (first, *rest) in enumerate(_SIMPLICES[d]):
+        mean = out[(slice(None),) * d + (e,)]
+        np.copyto(mean, u[first])
+        for v in rest:
+            mean += u[v]
+        mean /= len(rest) + 1
+    return out.reshape((-1,) + values.shape[1:])
 
 
 def _vertex_sum(d: int, n: int, q: np.ndarray) -> np.ndarray:
@@ -72,7 +82,18 @@ def _vertex_sum(d: int, n: int, q: np.ndarray) -> np.ndarray:
 
 
 def _barycenters(mesh: "Mesh") -> np.ndarray:
-    return _vertex_mean(mesh.dimension, mesh.n, mesh.nodes)
+    """`_vertex_mean` of the node coordinates, from the per-axis coordinates:
+    coordinate k of a vertex depends on its index along grid axis d - 1 - k
+    only, so each mean is a sum of 1D slices in vertex order."""
+    d, n = mesh.dimension, mesh.n
+    c = np.arange(n + 1) * mesh.h
+    out = np.empty((n,) * d + (len(_SIMPLICES[d]), d))
+    for e, simplex in enumerate(_SIMPLICES[d]):
+        for k in range(d):
+            axis = d - 1 - k
+            mean = reduce(np.add, [c[np.index_exp[v][axis]] for v in simplex]) / len(simplex)
+            out[..., e, k] = mean.reshape((n,) + (1,) * k)
+    return out.reshape(-1, d)
 
 
 def _volumes(mesh: "Mesh") -> np.ndarray:
@@ -135,12 +156,15 @@ class Mesh:
         """Per-element gradients of P1 fields, (..., n_nodes) -> (..., n_elements, d)."""
         lead = values.shape[:-1]
         if self.dimension == 1:
-            return (np.diff(values, axis=-1) / self.h)[..., None]
+            g = np.diff(values, axis=-1)
+            g /= self.h
+            return g[..., None]
         u = values.reshape(lead + (self.n + 1, self.n + 1))
-        diffs = [np.diff(u, axis=-1) / self.h, np.diff(u, axis=-2) / self.h]
         g = np.empty(lead + (self.n, self.n, 2, 2))
         for tri, a, leg in _LEGS:
-            g[..., tri, a] = diffs[a][leg]
+            hi, lo = u[_along(-1 - a, slice(1, None))], u[_along(-1 - a, slice(None, -1))]
+            np.subtract(hi[leg], lo[leg], out=g[..., tri, a])
+        g /= self.h
         return g.reshape(lead + (self.n_elements, 2))
 
 
@@ -201,14 +225,19 @@ def _to_nodes(edges: list[np.ndarray], sign: float = -1.0) -> np.ndarray:
     e[i-1] + sign * e[i], so sign = -1 is the transpose of np.diff."""
     out = np.zeros(edges[0].shape[:-1] + (edges[0].shape[-1] + 1,))
     for a, e in enumerate(edges):
-        out[_along(-1 - a, slice(None, -1))] += sign * e
+        lo = out[_along(-1 - a, slice(None, -1))]
+        if sign < 0:
+            lo -= e
+        else:
+            lo += e
         out[_along(-1 - a, slice(1, None))] += e
     return out
 
 
 def _gradient_adjoint(mesh: Mesh, q: np.ndarray) -> np.ndarray:
     """Transpose of `Mesh.element_gradients`: (..., n_elements, d) -> (..., n_nodes)."""
-    nodal = _to_nodes(_leg_sums(mesh, q)) / mesh.h
+    nodal = _to_nodes(_leg_sums(mesh, q))
+    nodal /= mesh.h
     return nodal.reshape(q.shape[:-2] + (mesh.n_nodes,))
 
 
@@ -293,31 +322,76 @@ class DiscreteField:
         return _vertex_mean(self.mesh.dimension, self.mesh.n, self.values)
 
     def eval(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate the P1 interpolant at arbitrary points (..., d)."""
+        """Evaluate the P1 interpolant at arbitrary points (..., d).
+
+        A point outside the box extends its nearest cell.  The points go
+        through in blocks of `_EVAL_BLOCK`, so the working set beyond the
+        result stays small whatever their number.
+        """
         pts = np.asarray(points, dtype=float)
-        mesh = self.mesh
-        h, n = mesh.h, mesh.n
-        if mesh.dimension == 1:
-            x = pts[..., 0]
-            i = np.clip(np.floor(x / h).astype(int), 0, n - 1)
-            lx = x - i * h
-            u = self.values
-            return u[i] + (u[i + 1] - u[i]) * lx / h
-        x, y = pts[..., 0], pts[..., 1]
-        ix = np.clip(np.floor(x / h).astype(int), 0, n - 1)
-        iy = np.clip(np.floor(y / h).astype(int), 0, n - 1)
-        lx, ly = x - ix * h, y - iy * h
-        u = self.values.reshape(n + 1, n + 1)
-        u00, u10, u01, u11 = u[iy, ix], u[iy, ix + 1], u[iy + 1, ix], u[iy + 1, ix + 1]
-        return np.where(
-            ly <= lx,
-            u00 + (u10 - u00) * lx / h + (u11 - u10) * ly / h,
-            u00 + (u11 - u01) * lx / h + (u01 - u00) * ly / h,
-        )
+        flat = pts.reshape(-1, self.mesh.dimension)
+        out = np.empty(len(flat))
+        for start in range(0, len(flat), _EVAL_BLOCK):
+            block = slice(start, start + _EVAL_BLOCK)
+            out[block] = self._interpolate(flat[block])
+        return out.reshape(pts.shape[:-1])
+
+    def _interpolate(self, pts: np.ndarray) -> np.ndarray:
+        """The interpolant at points (m, d).  In 2D the value is
+        u00 + sx * lx / h + sy * ly / h, with sx and sy the nodal differences
+        along the x and y legs of the triangle holding the point: its
+        square's lower one (v00, v10, v11) when ly <= lx, else the upper one."""
+        h, n, u = self.mesh.h, self.mesh.n, self.values
+        k, lx = _cell_offsets(pts[:, 0], h, n)
+        if self.mesh.dimension == 1:
+            out = u[1:][k]
+            out -= u[k]
+            out *= lx
+            out /= h
+            out += u[k]
+            return out
+        j, ly = _cell_offsets(pts[:, 1], h, n)
+        j *= n + 1
+        k += j  # node v00 of the point's square
+        lower = ly <= lx
+        # x leg: v00-v10 in the lower triangle, v01-v11 in the upper one
+        np.add(k, n + 1, out=j)
+        np.copyto(j, k, where=lower)
+        out = u[1:][j]
+        out -= u[j]
+        out *= lx
+        out /= h
+        out += u[k]
+        # y leg: v10-v11 in the lower triangle, v00-v01 in the upper one
+        np.add(k, lower, out=j)
+        s = u[n + 1 :][j]
+        s -= u[j]
+        s *= ly
+        s /= h
+        out += s
+        return out
 
 
-def lp_distance(a: DiscreteField, b: DiscreteField, p: float) -> float:
-    """Discrete L^p distance, quadrature taken on a's mesh."""
-    pts = a.mesh.barycenters
-    diff = np.abs(a.at_barycenters() - b.eval(pts)) ** p
+def _cell_offsets(x: np.ndarray, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell index along one axis, clipped to the box, and the offset from the
+    cell's lower node: (i, x - i * h)."""
+    i = np.floor(x / h).astype(int)
+    np.clip(i, 0, n - 1, out=i)
+    offset = i * h
+    np.subtract(x, offset, out=offset)
+    return i, offset
+
+
+def lp_distance(a: DiscreteField, b: DiscreteField | np.ndarray, p: float) -> float:
+    """Discrete L^p distance, quadrature taken on a's mesh.
+
+    b is a field, or its values at a's barycenters (`b.eval(a.mesh.barycenters)`),
+    which a caller comparing many fields on one mesh against b computes once.
+    """
+    if isinstance(b, DiscreteField):
+        b = b.eval(a.mesh.barycenters)
+    diff = a.at_barycenters()
+    diff -= b
+    np.abs(diff, out=diff)
+    diff **= p
     return float(_dot(a.mesh.volumes, diff)) ** (1.0 / p)

@@ -218,7 +218,12 @@ class _Objective:
         p = E.integrand.p
         Z = x.reshape(self.N, self.n_dofs)
         graw = self.mesh.element_gradients(self.constraint.expand(Z))  # (N, n_elements, d)
-        g = graw if E.gradient_offset is None else graw + E.gradient_offset[None]
+        g = graw
+        if E.gradient_offset is not None:
+            if self.corrector:  # its penalty reads graw below
+                g = graw + E.gradient_offset[None]
+            else:
+                g += E.gradient_offset[None]
         w = self.w
         sq, s = _norm_powers(g, p)
         ws = self.w_coef * s  # w a |g|^(p-2): dV/dg = ws g, V = ws |g|^2 / p
@@ -251,7 +256,10 @@ def _norm_powers(g: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     sq = g[..., 0] * g[..., 0]
     if g.shape[-1] == 2:
         sq += g[..., 1] * g[..., 1]
-    return sq, np.power(sq, 0.5 * p - 1.0, out=np.zeros_like(sq), where=sq > 0)
+    with np.errstate(divide="ignore"):  # 0 to a negative power, zeroed next
+        s = np.power(sq, 0.5 * p - 1.0)
+    s[sq == 0] = 0.0
+    return sq, s
 
 
 def _scaled(s: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Studies, CSV/SVG outputs, CLI behavior, reproducibility."""
 
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -112,6 +113,50 @@ n_realizations = 2
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+# eps and delta lists of the test, demo and benchmark configs
+EPS_LISTS = [
+    (1 / 8, 1 / 16, 1 / 32, 1 / 64),
+    (1 / 8, 1 / 16, 1 / 32),
+    (1 / 16, 1 / 32, 1 / 64),
+    (1 / 8, 1 / 16),
+    (1 / 8, 1 / 32),
+    (1 / 16, 1 / 32),
+    (1 / 16, 1 / 64),
+    (1 / 32, 1 / 64),
+]
+DELTA_LISTS = [(0.2, 0.05, 0.0125)]
+
+
+class TestFits:
+    """The plain-float fits against numpy's LAPACK least squares."""
+
+    @pytest.mark.parametrize("eps", EPS_LISTS)
+    def test_rate_fit(self, eps):
+        rng = np.random.default_rng(len(eps))
+        for rate in (0.5, 1.0, 2.0):
+            vals = [0.3 * e**rate * math.exp(rng.normal(0, 0.3)) for e in eps]
+            x, y = np.log(eps), np.log(vals)
+            coef, res, _, _ = np.linalg.lstsq(np.stack([x, np.ones_like(x)], 1), y, rcond=None)
+            resid = math.sqrt(res[0] / len(x)) if res.size else 0.0
+            slope, got_resid = experiments._fit_rate(list(eps), vals)
+            assert slope == pytest.approx(coef[0], rel=1e-12)
+            assert got_resid == pytest.approx(resid, rel=1e-12)
+        # non-positive values are left out of the fit
+        assert math.isnan(experiments._fit_rate(list(eps), [0.0] * len(eps))[0])
+
+    @pytest.mark.parametrize("deltas", DELTA_LISTS)
+    def test_rational_extrapolation(self, deltas):
+        d = np.array(deltas)
+        # b = e = 0 gives constant values: a rank-deficient system
+        for a, b, e in ((0.09, 1.2, 3.0), (0.1, 0.0, 0.0), (1.0, -0.2, 0.7)):
+            c = (a + b * d) / (1.0 + e * d)
+            A = np.stack([np.ones_like(d), d, -c * d], axis=1)
+            want = np.linalg.lstsq(A, c, rcond=None)[0][0]
+            got = experiments._rational_extrapolate(list(deltas), list(c))
+            assert got == pytest.approx(want, rel=1e-12)
+            assert got == pytest.approx(a, rel=1e-9)
 
 
 class TestSweep:
@@ -738,7 +783,13 @@ class TestSidecars:
         cfgp.write_text(NONERGODIC_SMALL.replace("[study]\n", "[study]\nload = 1e300\n"))
         out = tmp_path / "o"
         assert cli_main(["nonergodic", "--config", str(cfgp), "--out", str(out)]) == 2
-        assert (out / "report.csv").exists()
+        rows = read_rows(out / "report.csv")
+        col = rows[0].index("grad_norm")
+        # an own-limit row (eps = 0) reports its homogenized solve, which
+        # stopped on the non-finite norm, not its converged cell problem
+        limit_rows = [r for r in rows[1:] if float(r[rows[0].index("eps")]) == 0.0]
+        assert len(limit_rows) == 6
+        assert all(not math.isfinite(float(r[col])) for r in limit_rows)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_cli_exit_two_when_a_task_raises(self, tmp_path, monkeypatch, threads):

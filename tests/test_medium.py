@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from homoglab.medium import (
+    _cell_values,
     DiscreteValues,
     EnsembleSpec,
     ObservableSpec,
@@ -113,6 +114,41 @@ class TestShift:
             ]
         )
         assert stats.ks_2samp(a, b).pvalue >= 0.01
+
+
+def per_point_coefficient(r, x):
+    """The field hashed point by point: each point's cell floor(x + t - y),
+    the period applied, through `_cell_values`."""
+    pts = np.asarray(x, dtype=float)
+    cells = [
+        np.floor(pts[..., a] + t - y).astype(np.int64)
+        for a, (t, y) in enumerate(zip(r.translation, r.offset))
+    ]
+    vals = _cell_values(r.spec.cells, r.seed, r.period, cells)
+    return float(vals) if pts.ndim == 1 else vals
+
+
+class TestBoxTable:
+    """eval_coefficient's box table against per-point hashing, bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("cells", [CB2.cells, UniformValues(0.0, 3.0)])
+    def test_matches_per_point_hashing(self, d, cells):
+        ens = EnsembleSpec(dimension=d, cells=cells, seed=9)
+        rng = np.random.default_rng(d)
+        for i in range(3):
+            r = sample_realization(ens, i)
+            for field in (r, shift(r, rng.normal(size=d) * 3), periodize(r, 3), periodize(r, 1)):
+                for pts in (
+                    rand_points(2000, d, -2.0, 9.0, seed=i),  # a box table
+                    rand_points(10, d, -60.0, 60.0, seed=i),  # per point: box larger than n
+                    rand_points(600, d, 0.0, 4.0, seed=i).reshape(20, 30, d),
+                    rand_points(1, d, seed=i)[0],
+                    np.zeros((0, d)),
+                ):
+                    got, want = eval_coefficient(field, pts), per_point_coefficient(field, pts)
+                    assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+                    assert isinstance(got, float) == (pts.ndim == 1)
 
 
 class TestPeriodize:

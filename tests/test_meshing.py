@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from homoglab.integrand import IntegrandSpec
 from homoglab.medium import DiscreteValues, EnsembleSpec, sample_realization
 from homoglab.meshing import (
+    _SIMPLICES,
     DIRICHLET_ZERO,
     PERIODIC_MEAN_ZERO,
     Constraint,
@@ -97,6 +99,78 @@ class TestBuild:
         u = 2.0 * m.nodes[:, 0] - m.nodes[:, 1]
         vals = DiscreteField(mesh=m, values=u).at_barycenters()
         assert np.allclose(vals, 2.0 * m.barycenters[:, 0] - m.barycenters[:, 1], atol=1e-13)
+
+
+def gathered_vertex_mean(d, n, values):
+    """Element vertex means from full-size vertex gathers, summed in vertex
+    order, then stacked in element order: (n_nodes, ...) -> (n_elements, ...)."""
+    u = values.reshape((n + 1,) * d + values.shape[1:])
+    means = [reduce(np.add, [u[v] for v in s]) / len(s) for s in _SIMPLICES[d]]
+    return np.stack(means, axis=d).reshape((-1,) + values.shape[1:])
+
+
+def two_branch_eval(f, points):
+    """The P1 interpolant with both triangle branches computed at every point."""
+    pts = np.asarray(points, dtype=float)
+    h, n = f.mesh.h, f.mesh.n
+    if f.mesh.dimension == 1:
+        x = pts[..., 0]
+        i = np.clip(np.floor(x / h).astype(int), 0, n - 1)
+        lx = x - i * h
+        return f.values[i] + (f.values[i + 1] - f.values[i]) * lx / h
+    x, y = pts[..., 0], pts[..., 1]
+    ix = np.clip(np.floor(x / h).astype(int), 0, n - 1)
+    iy = np.clip(np.floor(y / h).astype(int), 0, n - 1)
+    lx, ly = x - ix * h, y - iy * h
+    u = f.values.reshape(n + 1, n + 1)
+    u00, u10, u01, u11 = u[iy, ix], u[iy, ix + 1], u[iy + 1, ix], u[iy + 1, ix + 1]
+    return np.where(
+        ly <= lx,
+        u00 + (u10 - u00) * lx / h + (u11 - u10) * ly / h,
+        u00 + (u11 - u01) * lx / h + (u01 - u00) * ly / h,
+    )
+
+
+class TestAgainstGathers:
+    """The lean tables and evaluation against full-size gathers, bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3, 7, 72, 192])
+    @pytest.mark.parametrize("size", [1.0, 1.5, 9.0, 12.0])
+    def test_barycenters(self, d, n, size):
+        m = build_mesh(d, n, size)
+        assert np.array_equal(m.barycenters, gathered_vertex_mean(d, n, m.nodes))
+        u = np.random.default_rng(n).normal(size=(m.n_nodes, 2))
+        at = DiscreteField(mesh=m, values=u[:, 0]).at_barycenters()
+        assert np.array_equal(at, gathered_vertex_mean(d, n, u[:, 0]))
+
+    @pytest.mark.parametrize("d, n, size", [(1, 7, 1.0), (1, 192, 12.0), (2, 3, 1.5), (2, 72, 9.0), (2, 192, 1.0)])
+    def test_eval(self, d, n, size):
+        m = build_mesh(d, n, size)
+        rng = np.random.default_rng(n)
+        f = DiscreteField(mesh=m, values=rng.normal(size=m.n_nodes))
+        inside = rng.uniform(0.0, size, size=(20_000, d))  # several blocks
+        outside = rng.uniform(-0.5 * size, 1.5 * size, size=(500, d))
+        # grid lines (cell edges) and, in 2D, the squares' diagonals ly == lx
+        t = rng.integers(0, n + 1, size=(300, d)) * m.h
+        diagonal = (rng.integers(0, n, size=300) * m.h + rng.uniform(0, m.h, size=300))[:, None]
+        cases = [inside, outside, t, np.repeat(diagonal, d, axis=1), inside.reshape(100, 200, d)]
+        cases += [inside[0], inside[:0], m.nodes, m.barycenters]
+        for pts in cases:
+            got, want = f.eval(pts), two_branch_eval(f, pts)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("d, n", [(1, 64), (2, 48)])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_lp_distance_from_values(self, d, n, p):
+        rng = np.random.default_rng(7)
+        a = DiscreteField(mesh=build_mesh(d, n), values=rng.normal(size=(n + 1) ** d))
+        fine = build_mesh(d, 2 * n + 3)
+        b = DiscreteField(mesh=fine, values=rng.normal(size=fine.n_nodes))
+        want = lp_distance(a, b, p)
+        assert lp_distance(a, b.eval(a.mesh.barycenters), p) == want
+        diff = np.abs(a.at_barycenters() - two_branch_eval(b, a.mesh.barycenters)) ** p
+        assert want == pytest.approx(float(np.dot(a.mesh.volumes, diff)) ** (1.0 / p), rel=1e-13)
 
 
 class TestAgainstTriangulation:
