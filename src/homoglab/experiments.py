@@ -21,7 +21,10 @@ import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -106,18 +109,27 @@ def _call(task):
     return fn(payload)
 
 
-def _pmap(tasks: list, threads: int) -> list:
-    """Run (fn, payload) tasks, results in list order.
+def _imap(tasks: list, threads: int) -> Iterator:
+    """Run (fn, payload) tasks, yielding the results in list order.
 
     The pool hands tasks out in list order, so a study lists its longest
-    tasks first; with one worker (or one task) they run in-process, in order.
+    tasks first; with one worker (or one task) they run in-process, in order,
+    each when its result is asked for.  A caller that reduces each result as
+    it comes never holds them all; closing the iterator ends the pool.
     """
     # the pool starts all its workers up front: never more than there are tasks
     workers = min(threads or 1, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(_call, tasks))
-    return [fn(payload) for fn, payload in tasks]
+            yield from ex.map(_call, tasks)
+    else:
+        for fn, payload in tasks:
+            yield fn(payload)
+
+
+def _pmap(tasks: list, threads: int) -> list:
+    """`_imap`'s results, as one list."""
+    return list(_imap(tasks, threads))
 
 
 def _least_squares(rows: list[list[float]], rhs: list[float]) -> tuple[list[float], float]:
@@ -233,6 +245,7 @@ def _quenched_task(payload):
     mesh = build_mesh(cfg.ensemble.dimension, cfg.mesh_n(eps))
     E = assemble_energy([r], eps, mesh, cfg.integrand, load=cfg.load)
     res = minimize(E, tol=cfg.tol, max_iter=cfg.max_iter)
+    del E  # the pairing does not need the energy's element arrays
     u = res.fields[0]
     out = {
         "eps": eps,
@@ -242,7 +255,6 @@ def _quenched_task(payload):
         "grad_norm": res.grad_norm,
         "converged": res.converged,
         "nodal": u.values,
-        "mesh_n": mesh.n,
     }
     if dico is not None:
         pv = quenched_pairing(u, r, eps, dico, include_gradient=include_gradient)
@@ -317,7 +329,18 @@ def run_homogenization_sweep(
     _log_growth(rep, cfg)
     dico = _dictionary(cfg)
     tasks = [(_limit_task, (cfg, dico, "function"))] + _quenched_tasks(cfg, dico)
-    ref, *results = _pmap(tasks, threads)
+    # each quenched result is reduced as it comes, so the nodal minimizers of
+    # one eps are never all held at once
+    with closing(_imap(tasks, threads)) as results:
+        return _sweep_report(rep, cfg, dico, results)
+
+
+def _sweep_report(
+    rep: StudyReport, cfg: ExperimentConfig, dico: Dictionary, results: Iterator[dict]
+) -> StudyReport:
+    """The sweep's rows, rates and summary from its task results: the limit
+    task's first, then the quenched ones eps-major, as `_quenched_tasks` lists them."""
+    ref = next(results)
     u_hom, min_hom, lim = ref["u_hom"], ref["min_hom"], ref["limit"]
     rep.timing_rows.append(["sweep", "reference", ref["wall_ms"]])
     rep.any_nonconverged |= not ref["converged"]
@@ -325,11 +348,10 @@ def run_homogenization_sweep(
 
     gap_med, dist_med = [], []
     for eps in cfg.eps_list:
-        sub = [res for res in results if res["eps"] == eps]
-        mesh = build_mesh(cfg.ensemble.dimension, sub[0]["mesh_n"])
+        mesh = build_mesh(cfg.ensemble.dimension, cfg.mesh_n(eps))
         hom_values = u_hom.eval(mesh.barycenters)  # shared by the realizations
         gaps, dists = [], []
-        for res in sub:
+        for res in islice(results, cfg.n_realizations):
             u = DiscreteField(mesh=mesh, values=res["nodal"])
             gap = abs(res["min_energy"] - min_hom)
             dlp = lp_distance(u, hom_values, cfg.integrand.p)
@@ -656,10 +678,19 @@ def run_quenched_vs_mean(cfg: ExperimentConfig, threads: int = 1, force: bool = 
     rep = StudyReport(kind="quenched-vs-mean")
     _log_realizations(rep, cfg)
     dico = _dictionary(cfg)
-    L = max(cfg.L_list)
     tasks = [(_limit_task, (cfg, dico, "gradient"))]
     tasks += _quenched_tasks(cfg, dico, include_gradient=True)
-    mean, *results = _pmap(tasks, threads)
+    with closing(_imap(tasks, threads)) as results:
+        return _quenched_vs_mean_report(rep, cfg, dico, results)
+
+
+def _quenched_vs_mean_report(
+    rep: StudyReport, cfg: ExperimentConfig, dico: Dictionary, results: Iterator[dict]
+) -> StudyReport:
+    """The quenched-vs-mean rows and summary from its task results, reduced
+    as they come (see `_sweep_report`)."""
+    L = max(cfg.L_list)
+    mean = next(results)
     min_hom, lim = mean["min_hom"], mean["limit"]
     rep.timing_rows.append(["quenched-vs-mean", "limit", mean["wall_ms"]])
     rep.any_nonconverged |= not mean["converged"]
@@ -670,9 +701,8 @@ def run_quenched_vs_mean(cfg: ExperimentConfig, threads: int = 1, force: bool = 
     mean_dists, max_q_dists = [], []
     contraction_ok = True
     for eps in cfg.eps_list:
-        sub = [r for r in results if r["eps"] == eps]
         vecs = []
-        for res in sub:
+        for res in islice(results, cfg.n_realizations):
             pv = _pairing_vector(res, dico)
             vecs.append(pv)
             trajectories[str(res["seed"])].append(pv)

@@ -8,6 +8,7 @@ gradient w |F|^{p-2} F analytic and makes p = 2 the standard quadratic form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from .medium import (
     TAG_REALIZATION,
     EnsembleSpec,
     Realization,
+    _bits_to_unit,
     _cell_values,
     _mix,
     _offsets,
@@ -128,27 +130,55 @@ class GrowthReport:
     satisfies_growth: bool
 
 
+# stream tags of the sampled diagnostics
+_TAG_GROWTH = 0x47524F57
+_TAG_MOMENT = 0x4D4F4D54
+
+
+def _hashed_unit(seed: int, stream: int, n: int) -> np.ndarray:
+    """n uniforms in [0, 1) from the counter hash, one stream per quantity."""
+    return _bits_to_unit(_mix(seed, stream, np.arange(n, dtype=np.uint64)))
+
+
+def _growth_samples(
+    ensemble: EnsembleSpec, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The (x, |F|, F, realization index) samples of `verify_growth`.
+
+    x is uniform on the unit cell, |F| log-uniform in [1e-2, 1e2], the
+    direction of F uniform on the circle (2D) or +-1 (1D), the realization
+    index uniform in [0, 2^31); every quantity is its own hash stream.
+    """
+    seed = mix_seed(ensemble.seed, _TAG_GROWTH)
+    d = ensemble.dimension
+    x = _hashed_unit(seed, 0, n * d).reshape(n, d)
+    lo, hi = math.log(1e-2), math.log(1e2)
+    mag = np.exp(lo + (hi - lo) * _hashed_unit(seed, 1, n))
+    u = _hashed_unit(seed, 2, n)
+    if d == 1:
+        dirs = np.where(u < 0.5, 1.0, -1.0)[:, None]
+    else:
+        dirs = np.stack([np.cos(2.0 * math.pi * u), np.sin(2.0 * math.pi * u)], axis=-1)
+    idx = _mix(seed, 3, np.arange(n, dtype=np.uint64)) >> np.uint64(33)
+    return x, mag, mag[:, None] * dirs, idx
+
+
 def verify_growth(
     spec: IntegrandSpec, ensemble: EnsembleSpec, n: int, bound: float = 100.0
 ) -> GrowthReport:
     """Sample (realization, x, F) triples and fit the growth constants.
 
-    |F| is log-uniform in [1e-2, 1e2]; directions uniform on the sphere.
+    The samples come from the counter hash (`_growth_samples`): |F| is
+    log-uniform in [1e-2, 1e2], directions uniform on the sphere.
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(mix_seed(ensemble.seed, 0x47524F57))
     d = ensemble.dimension
-    x = rng.uniform(0.0, 1.0, size=(n, d))
-    mag = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=n))
-    dirs = rng.normal(size=(n, d))
-    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    F = mag[:, None] * dirs
+    x, mag, F, idx = _growth_samples(ensemble, n)
 
     # evaluate_density(spec, sample_realization(ensemble, idx[i]), x[i], F[i])
     # for every i at once: the same seeds, offsets and cell hashes, vectorized
-    idx = rng.integers(0, 2**31, size=n)
-    seeds = _mix(ensemble.seed, TAG_REALIZATION, idx.astype(np.uint64))
+    seeds = _mix(ensemble.seed, TAG_REALIZATION, idx)
     y = _offsets(seeds, d) if ensemble.shift_sampling else 0.0
     cells = np.floor(x - y).astype(np.int64).T
     w = _cell_values(ensemble.cells, seeds, ensemble.period, cells)
@@ -193,8 +223,7 @@ def moment_estimate(lam_ensemble: EnsembleSpec, p: float, n: int) -> MomentEstim
         raise ValueError("p must exceed 1")
     if n < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(mix_seed(lam_ensemble.seed, 0x4D4F4D54))
-    lam = lam_ensemble.cells.from_unit(rng.uniform(size=n))
+    lam = lam_ensemble.cells.from_unit(_hashed_unit(lam_ensemble.seed, _TAG_MOMENT, n))
     z = lam ** (-1.0 / (p - 1.0))
     m = float(np.mean(z))
     value = m ** (p - 1.0)

@@ -35,9 +35,9 @@ __all__ = [
 ]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
+_GOLDEN = 0x9E3779B97F4A7C15
+_M1 = 0xBF58476D1CE4E5B9
+_M2 = 0x94D049BB133111EB
 
 # stream tags for deriving independent sub-seeds from one master seed
 TAG_REALIZATION = 0x52454132
@@ -49,14 +49,31 @@ TAG_PROBE = 0x50524F42
 def _splitmix64(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
     """One SplitMix64 mixing round (vectorized, wrapping arithmetic)."""
     with np.errstate(over="ignore"):
-        z = (x + _GOLDEN) & np.uint64(_MASK64)
-        z = ((z ^ (z >> np.uint64(30))) * _M1) & np.uint64(_MASK64)
-        z = ((z ^ (z >> np.uint64(27))) * _M2) & np.uint64(_MASK64)
+        z = (x + np.uint64(_GOLDEN)) & np.uint64(_MASK64)
+        z = ((z ^ (z >> np.uint64(30))) * np.uint64(_M1)) & np.uint64(_MASK64)
+        z = ((z ^ (z >> np.uint64(27))) * np.uint64(_M2)) & np.uint64(_MASK64)
         return z ^ (z >> np.uint64(31))
 
 
+def _splitmix64_int(z: int) -> int:
+    """`_splitmix64` on one Python int in [0, 2^64)."""
+    z = (z + _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * _M1) & _MASK64
+    z = ((z ^ (z >> 27)) * _M2) & _MASK64
+    return z ^ (z >> 31)
+
+
 def _mix(*parts: int | np.ndarray) -> np.ndarray | np.uint64:
-    """`mix_seed` without the conversion to int; uint64 array parts broadcast."""
+    """`mix_seed` without the conversion to int; uint64 array parts broadcast.
+
+    Without an array part the rounds run on Python ints, the same bits as
+    the array path without numpy's per-scalar overhead.
+    """
+    if not any(isinstance(p, np.ndarray) for p in parts):
+        h = 0
+        for p in parts:
+            h = _splitmix64_int(h ^ (int(p) & _MASK64))
+        return np.uint64(h)
     h = np.uint64(0)
     for p in parts:
         h = _splitmix64(h ^ (p if isinstance(p, np.ndarray) else np.uint64(p & _MASK64)))
@@ -176,7 +193,10 @@ def sample_realization(spec: EnsembleSpec, index: int) -> Realization:
     """Draw realization `index` of the ensemble (deterministic in spec.seed)."""
     seed = mix_seed(spec.seed, TAG_REALIZATION, index)
     d = spec.dimension
-    y = tuple(float(v) for v in _offsets(seed, d)) if spec.shift_sampling else (0.0,) * d
+    if spec.shift_sampling:  # `_offsets(seed, d)`, by the scalar path of `_mix`
+        y = tuple((int(_mix(seed, TAG_OFFSET, a)) >> 11) * 2.0**-53 for a in range(d))
+    else:
+        y = (0.0,) * d
     return Realization(spec=spec, seed=seed, offset=y, translation=(0.0,) * d, period=spec.period)
 
 
@@ -218,12 +238,14 @@ def eval_coefficient(r: Realization, x: Sequence[float] | np.ndarray) -> np.ndar
     if not np.isfinite(pts).all():
         raise ValueError("evaluation points must be finite")
     flat = pts.reshape(-1, r.dimension)
+    n = len(flat)
     cells = []
+    c = np.empty(n)  # one float buffer for every axis
     for a, (t, y) in enumerate(zip(r.translation, r.offset)):
-        c = flat[:, a] + t
+        np.add(flat[:, a], t, out=c)
         c -= y
         cells.append(np.floor(c, out=c).astype(np.int64))
-    n = len(flat)
+    del c
     lo = [int(c.min()) for c in cells] if n else []
     extent = [int(c.max()) - l + 1 for c, l in zip(cells, lo)]
     if n and math.prod(extent) <= n:
@@ -291,7 +313,10 @@ def _g_value(vals: np.ndarray) -> np.ndarray:
 
 
 def _g_indicator(vals: np.ndarray, target: float) -> np.ndarray:
-    return (np.abs(vals[0] - target) < 1e-12).astype(float)
+    near = vals[0] - target
+    np.abs(near, out=near)
+    np.copyto(near, near < 1e-12)  # 1.0 where vals[0] is the target, else 0.0
+    return near
 
 
 @dataclass(frozen=True)

@@ -271,7 +271,8 @@ class Constraint:
                 u[_along(ax, slice(-1, None))] = u[_along(ax, slice(0, 1))]
         return u.reshape(lead + (self.mesh.n_nodes,))
 
-    def reduce_adjoint(self, g_full: np.ndarray) -> np.ndarray:
+    def reduce_adjoint(self, g_full: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The transpose of `expand`, written into `out` (..., n_dofs) when given."""
         lead, d = g_full.shape[:-1], self.mesh.dimension
         u = g_full.reshape(lead + (self.mesh.n + 1,) * d)
         if self.kind == DIRICHLET_ZERO:
@@ -281,7 +282,10 @@ class Constraint:
                 folded = u[_along(ax, slice(None, -1))].copy()
                 folded[_along(ax, slice(0, 1))] += u[_along(ax, slice(-1, None))]
                 u = folded
-        return u.reshape(lead + (self.n_dofs,))
+        if out is None:
+            return u.reshape(lead + (self.n_dofs,))
+        np.copyto(out.reshape(lead + self._shape), u)
+        return out
 
     def normalize(self, z: np.ndarray) -> np.ndarray:
         """Project onto the constraint's normal form (zero mean if periodic)."""

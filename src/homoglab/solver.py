@@ -24,6 +24,7 @@ import ctypes
 import time
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,6 +37,7 @@ from .meshing import (
     Constraint,
     DiscreteField,
     Mesh,
+    _along,
     _dot,
     _gradient_adjoint,
     _leg_sums,
@@ -178,26 +180,40 @@ class _Objective:
         self.loaded = bool(self.load_red.any())
         # realization weight, element volume and scale folded into one factor
         self.w = (E.weights * (self.vol0 * E.scale))[:, None]
-        self.w_coef = self.w * E.coef
+
+    @cached_property
+    def w_coef(self) -> np.ndarray:
+        """w times the coefficients, made on the first evaluation: a p = 2
+        solve needs it only for its closing one, after the PCG."""
+        return self.w * self.E.coef
 
     def _edge_weights(self, w: np.ndarray) -> list[np.ndarray]:
         """Per-axis edge weights: vol * w / h^2 summed over the elements with that leg."""
         a = (self.vol * w / self.mesh.h**2)[..., None]
         return _leg_sums(self.mesh, np.broadcast_to(a, a.shape[:-1] + (self.d,)))
 
-    def stiffness(self, w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    def stiffness(self, w: np.ndarray) -> Callable[..., np.ndarray]:
         """Matvec of the reduced P1 stiffness of the element weights w (..., n_elements).
 
-        A leading realization axis of w applies realization i's stiffness to row i.
+        A leading realization axis of w applies realization i's stiffness to
+        row i.  `apply(z, out=None)` writes into `out` when given.  The edge
+        fluxes of one axis at a time go onto one node buffer, in `_to_nodes`'
+        order.
         """
         edges = self._edge_weights(w)
         grid = (self.mesh.n + 1,) * self.d
 
-        def apply(z: np.ndarray) -> np.ndarray:
+        def apply(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             lead = z.shape[:-1]
             u = self.constraint.expand(z).reshape(lead + grid)
-            Ku = _to_nodes([c * np.diff(u, axis=-1 - a) for a, c in enumerate(edges)])
-            return self.constraint.reduce_adjoint(Ku.reshape(lead + (-1,)))
+            Ku = np.zeros(u.shape)
+            for a, c in enumerate(edges):
+                flux = np.diff(u, axis=-1 - a)
+                flux *= c
+                Ku[_along(-1 - a, slice(None, -1))] -= flux
+                Ku[_along(-1 - a, slice(1, None))] += flux
+                del flux  # before the next axis makes its own
+            return self.constraint.reduce_adjoint(Ku.reshape(lead + (-1,)), out=out)
 
         return apply
 
@@ -225,21 +241,25 @@ class _Objective:
             else:
                 g += E.gradient_offset[None]
         w = self.w
-        sq, s = _norm_powers(g, p)
-        ws = self.w_coef * s  # w a |g|^(p-2): dV/dg = ws g, V = ws |g|^2 / p
+        sq, ws = _norm_powers(g, p)
+        ws *= self.w_coef  # w a |g|^(p-2): dV/dg = ws g, V = ws |g|^2 / p
         value = float(_dot(ws.ravel(), sq.ravel())) / p
-        dV = _scaled(ws, g)
         if self.variance:
             dev = g - _dot(E.weights, g)
+        # the element arrays are overwritten once read: dV takes g's place
+        dV = _scaled(ws, g, out=g)
+        del sq, ws
+        if self.variance:
             sq, s = _norm_powers(dev, p)
             value += E.delta * float(_dot((w * s).ravel(), sq.ravel()))
-            pen = _scaled(s, dev)
+            pen = _scaled(s, dev, out=dev)
             dV += _scaled((E.delta * p) * w, pen - _dot(E.weights, pen))
         elif self.corrector:  # delta |grad phi|^p (offset excluded)
-            sq, s = _norm_powers(graw, p)
-            ws = w * s
+            sq, ws = _norm_powers(graw, p)
+            ws *= w
             value += E.delta * float(_dot(ws.ravel(), sq.ravel()))
-            dV += _scaled((E.delta * p) * ws, graw)
+            ws *= E.delta * p
+            dV += _scaled(ws, graw, out=graw)
         # chain rule back to reduced dofs
         grad = self.constraint.reduce_adjoint(_gradient_adjoint(self.mesh, dV))
         if self.loaded:
@@ -254,28 +274,55 @@ class _Objective:
 def _norm_powers(g: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     """|g|^2 and |g|^(p-2) over the last (length-d) axis, the power 0 where g = 0."""
     sq = g[..., 0] * g[..., 0]
+    s = np.empty(sq.shape)
     if g.shape[-1] == 2:
-        sq += g[..., 1] * g[..., 1]
+        sq += np.multiply(g[..., 1], g[..., 1], out=s)
     with np.errstate(divide="ignore"):  # 0 to a negative power, zeroed next
-        s = np.power(sq, 0.5 * p - 1.0)
+        np.power(sq, 0.5 * p - 1.0, out=s)
     s[sq == 0] = 0.0
     return sq, s
 
 
-def _scaled(s: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """s[..., None] * g, one component at a time (a length-d inner loop is slow)."""
-    out = np.empty(g.shape)
+def _scaled(s: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """s[..., None] * g, one component at a time (a length-d inner loop is slow);
+    `out` may be g itself."""
+    if out is None:
+        out = np.empty(g.shape)
     for a in range(g.shape[-1]):
         np.multiply(s, g[..., a], out=out[..., a])
     return out
 
 
-def _dst1(x: np.ndarray) -> np.ndarray:
-    """Unnormalized DST-I along the last axis: y_k = sum_j x_j sin(pi j k / (m + 1))."""
+# odd-extension entries per DST-I block, which bounds `_dst1`'s buffers
+_DST_BLOCK = 32768
+
+
+def _dst1(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unnormalized DST-I along the last axis: y_k = sum_j x_j sin(pi j k / (m + 1)).
+
+    x has at most 3 axes and may be a strided view.  Its rows go through in
+    blocks of at most `_DST_BLOCK` odd-extension entries [0, x, 0, -x reversed],
+    filled into one reused buffer, and each block's result goes to the same
+    rows of `out`, which may be x itself.
+    """
     m = x.shape[-1]
-    zero = np.zeros(x.shape[:-1] + (1,))
-    odd = np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1)
-    return -0.5 * np.fft.rfft(odd, axis=-1).imag[..., 1 : m + 1]
+    if out is None:
+        out = np.empty(x.shape)
+    lead = (1,) * (3 - x.ndim)
+    rows_in, rows_out = x.reshape(lead + x.shape), out.reshape(lead + x.shape)
+    per_block = max(1, _DST_BLOCK // (2 * m + 2))
+    odd = np.empty((min(per_block, rows_in.shape[1]), 2 * m + 2))
+    odd[:, 0] = 0.0
+    odd[:, m + 1] = 0.0
+    for src, dst in zip(rows_in, rows_out):
+        for start in range(0, len(src), per_block):
+            block = src[start : start + per_block]
+            k = len(block)
+            odd[:k, 1 : m + 1] = block
+            np.negative(block[:, ::-1], out=odd[:k, m + 2 :])
+            spectrum = np.fft.rfft(odd[:k], axis=-1)
+            np.multiply(spectrum.imag[:, 1 : m + 1], -0.5, out=dst[start : start + k])
+    return out
 
 
 def _laplacian_inverse(
@@ -301,17 +348,21 @@ def _laplacian_inverse(
         # DST-I squared is (n/2) times the identity along each axis
         inv = np.multiply.outer(scale, (2.0 / n) ** d / eig)
 
-        # transform along the last axis, then swap the last two to bring up
-        # the next; after d passes the axes are back in order (d <= 2)
-        def transform(y: np.ndarray) -> np.ndarray:
-            for _ in range(d):
-                y = _dst1(y)
-                if d == 2:
-                    y = y.swapaxes(-1, -2)
-            return y
+        # DST-I of src into y along the last axis, then in place along the
+        # one before it (d = 2)
+        def transform(src: np.ndarray, y: np.ndarray) -> None:
+            _dst1(src, out=y)
+            if d == 2:
+                _dst1(y.swapaxes(-1, -2), out=y.swapaxes(-1, -2))
 
-        def apply(r: np.ndarray) -> np.ndarray:
-            return transform(transform(r.reshape(r.shape[:-1] + shape)) * inv).reshape(r.shape)
+        def apply(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            if out is None:
+                out = np.empty(r.shape)
+            y = out.reshape(r.shape[:-1] + shape)
+            transform(r.reshape(y.shape), y)
+            y *= inv
+            transform(y, y)
+            return out
 
         return apply
     shape = (n,) * d
@@ -323,9 +374,14 @@ def _laplacian_inverse(
     np.divide(1.0, eig, out=inv, where=eig > 0)
     inv = np.multiply.outer(scale, inv)
 
-    def apply(r: np.ndarray) -> np.ndarray:
-        y = np.fft.rfftn(r.reshape(r.shape[:-1] + shape), axes=axes) * inv
-        return np.fft.irfftn(y, s=shape, axes=axes).reshape(r.shape)
+    def apply(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        y = np.fft.rfftn(r.reshape(r.shape[:-1] + shape), axes=axes)
+        y *= inv
+        x = np.fft.irfftn(y, s=shape, axes=axes).reshape(r.shape)
+        if out is None:
+            return x
+        np.copyto(out, x)
+        return out
 
     return apply
 
@@ -350,6 +406,11 @@ def _pcg(
     `_linear_spd_solve`.  A non-finite norm of the right-hand side or of a
     residual can never meet the relative stop, so it ends the solve at
     once, not converged.
+
+    The iteration updates x, the residual and the search direction in place.
+    b becomes the residual.  The arrays `A` and `precond` return are read
+    before the next call of either and then used as scratch, so both may
+    return one shared buffer: the working set is four vectors.
     """
     bnorm = _norm(b)
     x = np.zeros_like(b)
@@ -357,7 +418,7 @@ def _pcg(
         return x, 0, 0.0, True
     if not np.isfinite(bnorm):
         return x, 0, bnorm, False
-    r = b.copy()
+    r = b
     rnorm = bnorm
     z = precond(r)
     pvec = z.copy()
@@ -366,8 +427,9 @@ def _pcg(
     while it < max_iter:
         Ap = A(pvec)
         alpha = rz / float(_dot(pvec, Ap))
-        x += alpha * pvec
-        r -= alpha * Ap
+        Ap *= alpha
+        r -= Ap
+        x += np.multiply(pvec, alpha, out=Ap)
         it += 1
         rnorm = _norm(r)
         if rnorm <= tol * bnorm:
@@ -376,7 +438,8 @@ def _pcg(
             return x, it, rnorm, False
         z = precond(r)
         rz_new = float(_dot(r, z))
-        pvec = z + (rz_new / rz) * pvec
+        pvec *= rz_new / rz
+        pvec += z
         rz = rz_new
     return x, it, rnorm, False
 
@@ -484,18 +547,21 @@ def _linear_spd_solve(obj: _Objective, tol: float, max_iter: int):
         # the weights sum to 1), which has no cancellation
         gamma_q = (c / float(_dot(w, abar * q)) * q)[:, None]
 
+    # the one buffer both operators write into (see `_pcg`)
+    out = np.empty((N, n))
+
     def A(x: np.ndarray) -> np.ndarray:
         Z = x.reshape(N, n)
-        KZ = K(Z)
+        K(Z, out=out)
         if c > 0:
-            KZ = KZ - w[:, None] * Kc(_dot(w, Z))
-        return KZ.ravel()
+            np.subtract(out, w[:, None] * Kc(_dot(w, Z)), out=out)
+        return out.ravel()
 
     def P(r: np.ndarray) -> np.ndarray:
-        Y = precond(r.reshape(N, n))
+        precond(r.reshape(N, n), out=out)
         if c > 0:
-            Y = Y + gamma_q * _dot(w, Y)
-        return Y.ravel()
+            np.add(out, gamma_q * _dot(w, out), out=out)
+        return out.ravel()
 
     x, iters, _, conv = _pcg(A, (w[:, None] * rhs).ravel(), tol, max_iter, P)
     return x, iters, conv

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -199,28 +199,36 @@ class PairingVector:
 
 
 def _observable_values(
-    observables: Sequence[ObservableSpec], r: Realization, shifts: np.ndarray
-) -> dict[str, np.ndarray]:
-    """`ObservableSpec.evaluate` of each observable at the shifts, by name,
-    with the field evaluated once per distinct probe set."""
+    observables: Iterable[ObservableSpec], r: Realization, points: np.ndarray, eps: float
+) -> Iterator[tuple[str, np.ndarray | None]]:
+    """`ObservableSpec.evaluate` of each distinct observable at the shifts
+    points / eps, one (name, values) pair at a time; None stands for the
+    constant 1 of an observable without probes.  The field is evaluated once
+    per distinct probe set, at the probe points made in one array."""
     probe_vals: dict[tuple, np.ndarray] = {}
-    out: dict[str, np.ndarray] = {}
+    seen: set[str] = set()
     for obs in observables:
-        if obs.name in out:
+        if obs.name in seen:
             continue
+        seen.add(obs.name)
         if not obs.probes:
-            out[obs.name] = obs.evaluate(r, shifts)
+            yield obs.name, None
             continue
         if obs.probes not in probe_vals:
-            pts = np.stack([shifts + np.asarray(z, dtype=float) for z in obs.probes])
+            pts = np.empty((len(obs.probes),) + points.shape)
+            for shifted, z in zip(pts, obs.probes):
+                np.divide(points, eps, out=shifted)
+                shifted += np.asarray(z, dtype=float)
             probe_vals[obs.probes] = eval_coefficient(r, pts)
-        out[obs.name] = obs.g(probe_vals[obs.probes], *obs.g_args)
-    return out
+            del pts
+        yield obs.name, obs.g(probe_vals[obs.probes], *obs.g_args)
 
 
 def _stacked_norm(blocks: np.ndarray, p: float, vol: np.ndarray) -> float:
     """(sum over the blocks (k, n_elements) of the quadrature of |block|^p)^(1/p)."""
-    return float(_dot(np.abs(blocks) ** p, vol).sum()) ** (1.0 / p)
+    powers = np.abs(blocks)
+    powers **= p
+    return float(_dot(powers, vol).sum()) ** (1.0 / p)
 
 
 def _field_blocks(u: DiscreteField, include_gradient: bool) -> np.ndarray:
@@ -250,16 +258,20 @@ def quenched_pairing(
         raise ValueError("eps must be positive")
     mesh = u.mesh
     blocks = _field_blocks(u, include_gradient)
-    # each distinct observable times the blocks, then one contraction per
-    # entry of that observable against its cosine; the (uniform) element
-    # volume comes last
-    ovals = _observable_values([e.obs for e in dico.entries], r, mesh.barycenters / eps)
+    # each distinct observable times the blocks (into one reused buffer; the
+    # constant 1 leaves them as they are), then one contraction per entry of
+    # that observable against its cosine; the (uniform) element volume comes last
     vals = np.empty((len(blocks), len(dico)))
-    for name, ov in ovals.items():
-        obs_block = ov * blocks
+    obs_block = None
+    observables = [e.obs for e in dico.entries]
+    for name, ov in _observable_values(observables, r, mesh.barycenters, eps):
+        if ov is None:
+            weighted = blocks
+        else:
+            weighted = obs_block = np.multiply(ov, blocks, out=obs_block)
         for j, e in enumerate(dico.entries):
             if e.obs.name == name:
-                vals[:, j] = _dot(obs_block, _cosine_table(mesh, e.cos_k))
+                vals[:, j] = _dot(weighted, _cosine_table(mesh, e.cos_k))
     return PairingVector(
         values=(vals * mesh.volumes[0]).ravel(),
         eps=eps,
@@ -402,8 +414,10 @@ def limit_pairing(
         # paired with the observable > , estimated by torus averages
         kappa: dict[str, np.ndarray] = {name: np.zeros((d, d)) for name in obs_list}
         for cs in corrector_sets:
-            ovals = _observable_values(list(obs_list.values()), cs.realization, cs.mesh.barycenters)
-            for name, ov in ovals.items():
+            bary = cs.mesh.barycenters
+            for name, ov in _observable_values(obs_list.values(), cs.realization, bary, 1.0):
+                if ov is None:
+                    ov = np.ones(len(bary))
                 for cp in range(d):
                     kappa[name][cp] += _dot(ov, cs.grad_fields[cp]) / len(ov)
         for name in kappa:

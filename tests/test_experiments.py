@@ -580,6 +580,29 @@ class TestOutputsAndCLI:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_studies_do_not_load_numpy_random_or_ma(self, tmp_path):
+        # every sample comes from the counter hash and no median goes through
+        # numpy.ma: a sweep and a degenerate diagram import neither package
+        import homoglab
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(homoglab.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys\n"
+            "from homoglab.config import parse_config\n"
+            "from homoglab.experiments import run_study, write_outputs\n"
+            "for i, text in enumerate(sys.argv[2:]):\n"
+            "    cfg = parse_config(text)\n"
+            "    write_outputs(run_study(cfg, threads=1), cfg, sys.argv[1] + str(i))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['numpy', 'random'], "
+            "['numpy', 'ma'])))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "out"), SWEEP_SMALL, DIAGRAM_SMALL],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
     def test_pool_never_larger_than_task_count(self, monkeypatch):
         import homoglab.experiments as exp_mod
 

@@ -8,6 +8,7 @@ import pytest
 from homoglab.integrand import (
     FORM_DEGENERATE,
     IntegrandSpec,
+    _growth_samples,
     density_gradient,
     evaluate_density,
     moment_estimate,
@@ -17,7 +18,6 @@ from homoglab.medium import (
     DiscreteValues,
     EnsembleSpec,
     UniformValues,
-    mix_seed,
     sample_realization,
 )
 
@@ -139,14 +139,7 @@ class TestGradient:
 
 def _growth_by_loop(spec, ensemble, n):
     """verify_growth's (c_low, c_high), one realization and density call per sample."""
-    rng = np.random.default_rng(mix_seed(ensemble.seed, 0x47524F57))
-    d = ensemble.dimension
-    x = rng.uniform(0.0, 1.0, size=(n, d))
-    mag = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=n))
-    dirs = rng.normal(size=(n, d))
-    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    F = mag[:, None] * dirs
-    idx = rng.integers(0, 2**31, size=n)
+    x, mag, F, idx = _growth_samples(ensemble, n)
     vals = np.empty(n)
     for i in range(n):
         r = sample_realization(ensemble, int(idx[i]))
@@ -187,6 +180,17 @@ class TestGrowth:
             ens = replace(ensemble, seed=seed)
             rep = verify_growth(spec, ens, n)
             assert (rep.c_low, rep.c_high) == _growth_by_loop(spec, ens, n)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_samples_cover_their_ranges(self, d):
+        # the loop above shares the sampler, so check the samples themselves
+        x, mag, F, idx = _growth_samples(replace(CB, dimension=d), 4000)
+        assert x.shape == (4000, d) and np.all((x >= 0) & (x < 1))
+        assert np.all((mag >= 1e-2) & (mag <= 1e2))
+        assert abs(np.mean(np.log10(mag))) < 0.1  # log-uniform: mean exponent 0
+        assert np.allclose(np.linalg.norm(F, axis=-1), mag, rtol=1e-15)
+        assert abs(np.mean(F[:, 0] / mag)) < 0.05  # no preferred direction
+        assert idx.dtype == np.uint64 and idx.max() < 2**31 and len(set(idx.tolist())) == 4000
 
     def test_unit_coefficient_constants_near_one(self):
         rep = verify_growth(IntegrandSpec(p=2.0), ONE, 2000)

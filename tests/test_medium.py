@@ -5,7 +5,10 @@ import pytest
 from scipy import stats
 
 from homoglab.medium import (
+    TAG_REALIZATION,
     _cell_values,
+    _mix,
+    _offsets,
     DiscreteValues,
     EnsembleSpec,
     ObservableSpec,
@@ -69,6 +72,31 @@ class TestSampling:
             EnsembleSpec(dimension=3, cells=CB2.cells)
         with pytest.raises(ValueError):
             EnsembleSpec(dimension=2, cells=CB2.cells, period=0)
+
+
+_SEEDS = [0, 2**63 + 7, 2**64 - 1]
+
+
+class TestScalarHash:
+    """`_mix` without an array part runs on Python ints: the same bits as the array path."""
+
+    @pytest.mark.parametrize("seed", _SEEDS)
+    @pytest.mark.parametrize("scalar", [int, np.int64, np.uint64])
+    def test_matches_array_path(self, seed, scalar):
+        for part in (0, 5, 2**31 - 1, -3 if scalar is np.int64 else 2**62):
+            one = _mix(seed, TAG_REALIZATION, scalar(part))
+            arr = _mix(seed, TAG_REALIZATION, np.array([part], dtype=np.int64).view(np.uint64))
+            assert isinstance(one, np.uint64) and one == arr[0]
+            assert _mix(scalar(part)) == _mix(np.array([part], dtype=np.int64).view(np.uint64))[0]
+
+    @pytest.mark.parametrize("seed", _SEEDS)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_offsets_match_array_path(self, seed, d):
+        spec = EnsembleSpec(dimension=d, cells=DiscreteValues((1.0,), (1.0,)), seed=seed)
+        for index in (0, 1, 2**31 - 1):
+            r = sample_realization(spec, index)
+            assert r.seed == int(_mix(seed, TAG_REALIZATION, np.array([index], dtype=np.uint64))[0])
+            assert r.offset == tuple(_offsets(np.uint64(r.seed), d).tolist())
 
 
 class TestShift:
