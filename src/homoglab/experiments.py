@@ -238,8 +238,9 @@ def _dictionary(cfg: ExperimentConfig) -> Dictionary:
 
 def _quenched_task(payload):
     """Minimize along one fixed realization, then pair the minimizer with the
-    dictionary (no pairing without one)."""
-    cfg, eps, index, dico, include_gradient = payload
+    dictionary (no pairing without one).  The nodal minimizer is returned
+    only when asked for (the sweep's L^p distance)."""
+    cfg, eps, index, dico, include_gradient, nodal = payload
     t0 = time.perf_counter()
     r = sample_realization(cfg.ensemble, index)
     mesh = build_mesh(cfg.ensemble.dimension, cfg.mesh_n(eps))
@@ -254,8 +255,9 @@ def _quenched_task(payload):
         "iters": res.iterations,
         "grad_norm": res.grad_norm,
         "converged": res.converged,
-        "nodal": u.values,
     }
+    if nodal:
+        out["nodal"] = u.values
     if dico is not None:
         pv = quenched_pairing(u, r, eps, dico, include_gradient=include_gradient)
         out.update(values=pv.values, norm=pv.norm)
@@ -264,11 +266,11 @@ def _quenched_task(payload):
 
 
 def _quenched_tasks(
-    cfg: ExperimentConfig, dico: Dictionary | None, include_gradient: bool = False
+    cfg: ExperimentConfig, dico: Dictionary | None, include_gradient=False, nodal=False
 ) -> list:
     """One quenched task per (eps, realization), in eps-major order."""
     return [
-        (_quenched_task, (cfg, eps, i, dico, include_gradient))
+        (_quenched_task, (cfg, eps, i, dico, include_gradient, nodal))
         for eps in cfg.eps_list
         for i in range(cfg.n_realizations)
     ]
@@ -328,7 +330,7 @@ def run_homogenization_sweep(
     _log_realizations(rep, cfg)
     _log_growth(rep, cfg)
     dico = _dictionary(cfg)
-    tasks = [(_limit_task, (cfg, dico, "function"))] + _quenched_tasks(cfg, dico)
+    tasks = [(_limit_task, (cfg, dico, "function"))] + _quenched_tasks(cfg, dico, nodal=True)
     # each quenched result is reduced as it comes, so the nodal minimizers of
     # one eps are never all held at once
     with closing(_imap(tasks, threads)) as results:

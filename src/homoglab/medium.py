@@ -38,6 +38,8 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
+_U_GOLDEN, _U_M1, _U_M2 = np.uint64(_GOLDEN), np.uint64(_M1), np.uint64(_M2)
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 # stream tags for deriving independent sub-seeds from one master seed
 TAG_REALIZATION = 0x52454132
@@ -47,12 +49,12 @@ TAG_PROBE = 0x50524F42
 
 
 def _splitmix64(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
-    """One SplitMix64 mixing round (vectorized, wrapping arithmetic)."""
+    """One SplitMix64 mixing round (vectorized; uint64 arithmetic wraps, unmasked)."""
     with np.errstate(over="ignore"):
-        z = (x + np.uint64(_GOLDEN)) & np.uint64(_MASK64)
-        z = ((z ^ (z >> np.uint64(30))) * np.uint64(_M1)) & np.uint64(_MASK64)
-        z = ((z ^ (z >> np.uint64(27))) * np.uint64(_M2)) & np.uint64(_MASK64)
-        return z ^ (z >> np.uint64(31))
+        z = x + _U_GOLDEN
+        z = (z ^ (z >> _U30)) * _U_M1
+        z = (z ^ (z >> _U27)) * _U_M2
+        return z ^ (z >> _U31)
 
 
 def _splitmix64_int(z: int) -> int:
@@ -106,12 +108,13 @@ class DiscreteValues:
             raise ValueError("probabilities must be nonnegative")
         if abs(sum(self.probs) - 1.0) > 1e-12:
             raise ValueError("probabilities must sum to 1 (tolerance 1e-12)")
+        cum = np.cumsum(self.probs)
+        cum[-1] = 1.0  # `from_unit`'s table, made once
+        object.__setattr__(self, "_table", (cum, np.asarray(self.values)))
 
     def from_unit(self, u: np.ndarray) -> np.ndarray:
-        cum = np.cumsum(self.probs)
-        cum[-1] = 1.0
-        idx = np.searchsorted(cum, u, side="right")
-        return np.asarray(self.values)[idx]
+        cum, values = self._table
+        return values[np.searchsorted(cum, u, side="right")]
 
     def mean(self) -> float:
         return float(np.dot(self.values, self.probs))

@@ -220,16 +220,13 @@ def _along(axis: int, sl: slice) -> tuple:
     return (Ellipsis, sl) + (slice(None),) * (-1 - axis)
 
 
-def _to_nodes(edges: list[np.ndarray], sign: float = -1.0) -> np.ndarray:
+def _to_nodes(edges: list[np.ndarray]) -> np.ndarray:
     """Sum per-axis edge values onto the nodes: along each axis node i gets
-    e[i-1] + sign * e[i], so sign = -1 is the transpose of np.diff."""
+    e[i-1] - e[i], the transpose of np.diff."""
     out = np.zeros(edges[0].shape[:-1] + (edges[0].shape[-1] + 1,))
     for a, e in enumerate(edges):
         lo = out[_along(-1 - a, slice(None, -1))]
-        if sign < 0:
-            lo -= e
-        else:
-            lo += e
+        lo -= e
         out[_along(-1 - a, slice(1, None))] += e
     return out
 

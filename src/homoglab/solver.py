@@ -13,7 +13,9 @@ stencil, never assembled), block-preconditioned by the exact unit-coefficient
 inverse (DST-I for zero trace, FFT on the torus), so the iteration count does
 not grow with the mesh (`_linear_spd_solve`).  p != 2 energies are minimized by
 Polak-Ribiere nonlinear CG with Armijo backtracking on the reduced
-(constrained) variables.  Every inner product, norm and quadrature
+(constrained) variables, preconditioned by the same block-spectral inverse
+(`_Objective.block_inverse`), not a diagonal, so their iteration count barely
+grows with the mesh either.  Every inner product, norm and quadrature
 sum goes through the fixed-order `meshing._dot`, never BLAS, so results do
 not depend on the BLAS thread count.
 """
@@ -41,7 +43,6 @@ from .meshing import (
     _dot,
     _gradient_adjoint,
     _leg_sums,
-    _to_nodes,
     _vertex_sum,
     build_mesh,
 )
@@ -174,6 +175,9 @@ class _Objective:
         self.n_dofs = self.constraint.n_dofs
         self.variance = E.delta > 0 and E.penalty == "variance"
         self.corrector = E.delta > 0 and E.penalty == "corrector"
+        # the penalties' p = 2 Hessian terms e and c (see `block_inverse`)
+        self.e = 2.0 * E.delta
+        self.c = self.e if self.variance else 0.0
         # reduced load vector (shared): each vertex gets 1/(d+1) of its elements' vol * f
         weights = (self.vol * E.load_values) * (1.0 / (self.d + 1))
         self.load_red = self.constraint.reduce_adjoint(_vertex_sum(self.d, E.mesh.n, weights))
@@ -217,17 +221,39 @@ class _Objective:
 
         return apply
 
-    def precond_diag(self) -> np.ndarray:
-        """Diagonal of the p=2-type Hessian surrogate for the stacked system."""
-        E = self.E
-        pen = 0.0
-        if self.variance or self.corrector:
-            pen = 2.0 * E.delta * (1.0 - 1.0 / self.N if self.variance else 1.0)
-        # a node's stiffness diagonal is the sum of its incident edge weights
-        diag = _to_nodes(self._edge_weights(E.coef + pen), sign=1.0)
-        diag = self.constraint.reduce_adjoint(diag.reshape(self.N, -1))
-        flat = ((E.weights * E.scale)[:, None] * diag).ravel()
-        return np.where(flat > 0, flat, 1.0)
+    def block_inverse(
+        self, scale: float = 1.0, out: np.ndarray | None = None
+    ) -> Callable[[np.ndarray], np.ndarray]:
+        """Block-spectral inverse P of the stacked p = 2 system, times 1 / scale.
+
+        With realization weights w (summing to 1), e = 2 delta under either
+        penalty and c = 2 delta under the variance penalty only, the p = 2
+        Hessian is w_i [K(a_i + e) z_i - c K_1 zbar], zbar = sum_j w_j z_j.
+        Replacing K(a_i) by abar_i K_1, abar_i realization i's geometric-mean
+        weight, gives P = [diag(w (abar + e)) - c w w^T]^-1 (x) K_1^-1, exact
+        when each realization's weight is constant.  1 / (w scale (abar + e))
+        goes into the spectral multiplier; for c > 0 the rank-one term is
+        applied by Sherman-Morrison, elementwise and by `_dot`, never a dense
+        inverse.  `P(r)` takes the stacked vector and returns it flat, written
+        into `out` when given, else into a new array.
+        """
+        E, N, n, e, c = self.E, self.N, self.n_dofs, self.e, self.c
+        w = E.weights
+        abar = np.exp(np.log(E.coef).mean(axis=-1))
+        q = 1.0 / (abar + e)  # D^-1 w, D = diag(w (abar + e))
+        spectral = _laplacian_inverse(self.mesh, E.constraint, q / (w * scale))
+        if c > 0:
+            # Sherman-Morrison's 1 - c w^T D^-1 w is sum_i w_i abar_i q_i (c = e,
+            # the weights sum to 1), which has no cancellation
+            gamma_q = (c / float(_dot(w, abar * q)) * q)[:, None]
+
+        def P(r: np.ndarray) -> np.ndarray:
+            z = spectral(r.reshape(N, n), out=out)
+            if c > 0:
+                np.add(z, gamma_q * _dot(w, z), out=z)
+            return z.ravel()
+
+        return P
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         E = self.E
@@ -444,20 +470,20 @@ def _pcg(
     return x, it, rnorm, False
 
 
-def _ncg(fun, x0: np.ndarray, tol: float, max_iter: int, precond: np.ndarray):
+def _ncg(fun, x0: np.ndarray, tol: float, max_iter: int, precond: Callable[..., np.ndarray]):
     """Polak-Ribiere nonlinear CG with restarts and Armijo backtracking.
 
     The first trial step comes from a Barzilai-Borwein estimate; one quadratic
     interpolation along the search direction sharpens it (exact line search on
     quadratic energies), then Armijo backtracking (c = 1e-4, factor 0.5)
-    guards the decrease.  The diagonal preconditioner `precond` rescales the
-    steepest-descent direction.
+    guards the decrease.  The descent direction is z = precond(g), here the
+    block-spectral inverse of the p = 2 Hessian, not a diagonal.  z is held
+    beside the next one, so `precond` must return a new array per call.
     """
-    dinv = 1.0 / precond
     x = x0.copy()
     f, g = fun(x)
     gnorm = _norm(g)
-    z = dinv * g
+    z = precond(g)
     gz = float(_dot(g, z))
     d = -z
     it = 0
@@ -505,7 +531,7 @@ def _ncg(fun, x0: np.ndarray, tol: float, max_iter: int, precond: np.ndarray):
             raise FloatingPointError("energy increased along an accepted step")
         s_prev = x_new - x
         ss, sy = float(_dot(s_prev, s_prev)), float(_dot(s_prev, g_new - g))
-        z_new = dinv * g_new
+        z_new = precond(g_new)
         beta = max(0.0, float(_dot(g_new, z_new - z)) / max(gz, 1e-300))
         d = -z_new + beta * d
         x, f, g, z = x_new, f_new, g_new, z_new
@@ -518,34 +544,20 @@ def _ncg(fun, x0: np.ndarray, tol: float, max_iter: int, precond: np.ndarray):
 def _linear_spd_solve(obj: _Objective, tol: float, max_iter: int):
     """p = 2: the energy is quadratic, so its minimizer solves one SPD system.
 
-    With realization weights w (summing to 1) and zbar = sum_j w_j z_j, the
-    stationarity conditions of all N realizations times w_i are the symmetric
-    stacked system w_i [K(a_i + e) z_i - c K_1 zbar] = w_i b_i, e = 2 delta
-    under either penalty and c = 2 delta under the variance penalty only
-    (c = 0 otherwise), solved by one PCG.  Replacing K(a_i) by abar_i K_1,
-    abar_i realization i's geometric-mean weight, gives the block-spectral
-    preconditioner [diag(w (abar + e)) - c w w^T]^-1 (x) K_1^-1, exact when
-    each realization's weight is constant.  w is folded into the stiffness
-    edge weights and 1 / (w (abar + e)) into the spectral multiplier; for
-    c > 0 the rank-one term is applied by Sherman-Morrison, elementwise and
-    by `_dot`, never a dense inverse.
+    The stationarity conditions of all N realizations times their weights w
+    are the symmetric stacked system w_i [K(a_i + e) z_i - c K_1 zbar] =
+    w_i b_i of `_Objective.block_inverse`, solved by one PCG preconditioned
+    by that block inverse; w is folded into the stiffness edge weights.
     """
-    E, N, n = obj.E, obj.N, obj.n_dofs
-    w, e = E.weights, 2.0 * E.delta  # delta > 0 means one of the two penalties
-    c = e if obj.variance else 0.0
+    E, N, n, c = obj.E, obj.N, obj.n_dofs, obj.c
+    w = E.weights
     rhs = np.broadcast_to(obj.load_red, (N, n))
     if E.gradient_offset is not None:
         flux = (obj.vol * E.coef)[..., None] * E.gradient_offset
         rhs = rhs - obj.constraint.reduce_adjoint(_gradient_adjoint(obj.mesh, flux))
-    K = obj.stiffness(w[:, None] * (E.coef + e))
-    abar = np.exp(np.log(E.coef).mean(axis=-1))
-    q = 1.0 / (abar + e)  # D^-1 w, D = diag(w (abar + e))
-    precond = _laplacian_inverse(obj.mesh, E.constraint, q / w)
+    K = obj.stiffness(w[:, None] * (E.coef + obj.e))
     if c > 0:
         Kc = obj.stiffness(np.full(obj.mesh.n_elements, c))
-        # Sherman-Morrison's 1 - c w^T D^-1 w is sum_i w_i abar_i q_i (c = e,
-        # the weights sum to 1), which has no cancellation
-        gamma_q = (c / float(_dot(w, abar * q)) * q)[:, None]
 
     # the one buffer both operators write into (see `_pcg`)
     out = np.empty((N, n))
@@ -557,12 +569,7 @@ def _linear_spd_solve(obj: _Objective, tol: float, max_iter: int):
             np.subtract(out, w[:, None] * Kc(_dot(w, Z)), out=out)
         return out.ravel()
 
-    def P(r: np.ndarray) -> np.ndarray:
-        precond(r.reshape(N, n), out=out)
-        if c > 0:
-            np.add(out, gamma_q * _dot(w, out), out=out)
-        return out.ravel()
-
+    P = obj.block_inverse(out=out)
     x, iters, _, conv = _pcg(A, (w[:, None] * rhs).ravel(), tol, max_iter, P)
     return x, iters, conv
 
@@ -580,7 +587,7 @@ def _solve(E: EnergyFunctional, tol: float, max_iter: int) -> MinimizeResult:
     else:
         x0 = np.zeros(obj.N * obj.n_dofs)
         x, f, iters, gnorm, conv = _ncg(
-            obj.value_and_grad, x0, tol, max_iter, precond=obj.precond_diag()
+            obj.value_and_grad, x0, tol, max_iter, obj.block_inverse(scale=E.scale)
         )
     values = obj.constraint.expand(obj.constraint.normalize(x.reshape(obj.N, obj.n_dofs)))
     fields = [DiscreteField(mesh=E.mesh, values=v, constraint=E.constraint) for v in values]

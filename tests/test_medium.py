@@ -9,6 +9,8 @@ from homoglab.medium import (
     _cell_values,
     _mix,
     _offsets,
+    _splitmix64,
+    _splitmix64_int,
     DiscreteValues,
     EnsembleSpec,
     ObservableSpec,
@@ -88,6 +90,12 @@ class TestScalarHash:
             arr = _mix(seed, TAG_REALIZATION, np.array([part], dtype=np.int64).view(np.uint64))
             assert isinstance(one, np.uint64) and one == arr[0]
             assert _mix(scalar(part)) == _mix(np.array([part], dtype=np.int64).view(np.uint64))[0]
+
+    def test_round_wraps_like_the_masked_int_round(self):
+        # the uint64 round has no mask: its sums and products wrap at 2^64
+        out = _splitmix64(np.array(_SEEDS, dtype=np.uint64))
+        assert out.dtype == np.uint64
+        assert [int(v) for v in out] == [_splitmix64_int(x) for x in _SEEDS]
 
     @pytest.mark.parametrize("seed", _SEEDS)
     @pytest.mark.parametrize("d", [1, 2])
