@@ -6,11 +6,13 @@ Four studies:
   nonergodic       per-realization limits of a periodized ensemble + clusters
   quenched-vs-mean per-realization pairing trajectories vs the mean and limit
 
-plus the operation commands cell / solve.  Each study hands all of its
-independent work to one process pool: the (eps, seed) tasks and, beside
-them, the reference, limit or corner solves.  Every aggregation is an
-ordered reduction over the task list, so outputs are byte-identical for any
-worker count.
+plus the operation commands cell / solve.  Every study and command hands all
+of its independent work to `_imap`, one process pool: the (eps, seed) tasks
+and, beside them, the limit side (`_limit_task`: the reference coefficient,
+the homogenized solve and its limit pairing; the diagram's corners are limit
+tasks without a pairing), the own-limit tasks, or the cell tables.  Every
+aggregation is an ordered reduction over the task list, one `_record` per
+task result, so outputs are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .integrand import moment_estimate
+from .integrand import IntegrandSpec, moment_estimate, verify_growth
 from .medium import DiscreteValues, EnsembleSpec, sample_realization
 from .meshing import DiscreteField, build_mesh, lp_distance
 from .reporting import (
@@ -96,8 +98,6 @@ def _log_realizations(rep: StudyReport, cfg: ExperimentConfig) -> None:
 
 
 def _log_growth(rep: StudyReport, cfg: ExperimentConfig, n: int = 2000) -> None:
-    from .integrand import verify_growth
-
     g = verify_growth(cfg.integrand, cfg.ensemble, n)
     rep.summary.update(
         growth_c_low=g.c_low, growth_c_high=g.c_high, satisfies_p_growth=g.satisfies_growth
@@ -127,9 +127,36 @@ def _imap(tasks: list, threads: int) -> Iterator:
             yield fn(payload)
 
 
-def _pmap(tasks: list, threads: int) -> list:
-    """`_imap`'s results, as one list."""
-    return list(_imap(tasks, threads))
+def _record(rep: StudyReport, label: str, res: dict) -> None:
+    """The timing row and convergence flag of one task result."""
+    rep.timing_rows.append([rep.kind, label, res["wall_ms"]])
+    rep.any_nonconverged |= not res["converged"]
+
+
+def _quenched_row(rep: StudyReport, res: dict, L: int, **columns) -> None:
+    """The report row of one quenched task result, with the study's own
+    columns, and its `_record`."""
+    rep.rows.append(
+        ReportRow(
+            study=rep.kind,
+            eps=res["eps"],
+            delta=0.0,
+            L=L,
+            seed=str(res["seed"]),
+            min_energy=res["min_energy"],
+            iters=res["iters"],
+            grad_norm=res["grad_norm"],
+            **columns,
+        )
+    )
+    _record(rep, f"eps={res['eps']:g},seed={res['seed']}", res)
+
+
+def _young_rows(rep: StudyReport, ym) -> None:
+    """One row per barycenter entry of each Young-measure cluster."""
+    for ci, cluster in enumerate(ym.clusters):
+        for j, val in enumerate(cluster.barycenter.values):
+            rep.young_rows.append([ci, cluster.weight, cluster.diameter, j + 1, val])
 
 
 def _least_squares(rows: list[list[float]], rhs: list[float]) -> tuple[list[float], float]:
@@ -180,34 +207,25 @@ def _fit_rate(eps: list[float], vals: list[float]) -> tuple[float, float]:
     return slope, math.sqrt(res / len(pairs))
 
 
-def _reference_coefficient(cfg: ExperimentConfig, delta: float = 0.0) -> tuple[float, float, bool]:
-    """Effective isotropic coefficient from unit-direction cell problems.
-
-    Returns (c_hom, stderr_of_c, converged); V_hom(F) ~= (c_hom / p) |F|^p.
-    """
-    d = cfg.ensemble.dimension
-    L = max(cfg.L_list)
-    dirs = [tuple(np.eye(d)[c]) for c in range(d)]
-    rows = effective_integrand(
+def _cell_task(payload):
+    """The effective-integrand table of one (L, F grid, delta), with the
+    study's realizations, cell resolution and solver settings."""
+    cfg, L, F_grid, delta = payload
+    return effective_integrand(
         cfg.ensemble,
         L,
         cfg.integrand,
-        dirs,
+        F_grid,
         delta=delta,
         n_samples=cfg.n_realizations,
         n_per_cell=cfg.n_per_cell,
         tol=cfg.tol,
         max_iter=cfg.max_iter,
     )
-    c = float(np.mean([r.mean for r in rows])) * cfg.integrand.p
-    err = float(np.sqrt(np.mean([r.stderr**2 for r in rows]))) * cfg.integrand.p
-    return c, err, all(r.converged for r in rows)
 
 
 def _homogenized_solve(cfg: ExperimentConfig, c_hom: float) -> MinimizeResult:
     """Fine-mesh minimization of the constant-coefficient limit problem."""
-    from .integrand import IntegrandSpec
-
     mesh = build_mesh(cfg.ensemble.dimension, cfg.fine_n)
     hom_ens = EnsembleSpec(
         dimension=cfg.ensemble.dimension,
@@ -277,10 +295,11 @@ def _quenched_tasks(
 
 
 def _limit_task(payload):
-    """The mean side of a study: c_hom from the reference cell problems, the
-    homogenized solve and its limit pairing.  mode "gradient" pairs against
-    the sampled correctors too (the quenched-vs-mean limit)."""
-    cfg, dico, mode = payload
+    """The mean side of a study at penalty delta: c_hom from the reference
+    cell problems and the homogenized solve, then, given a dictionary, the
+    limit pairing.  mode "gradient" pairs against the sampled correctors too
+    (the quenched-vs-mean limit); the diagram's corners pass no dictionary."""
+    cfg, dico, mode, delta = payload
     t0 = time.perf_counter()
     csets = None
     if mode == "gradient":
@@ -293,17 +312,23 @@ def _limit_task(payload):
             tol=cfg.tol,
             max_iter=cfg.max_iter,
         )
-    c_hom, c_err, c_ok = _reference_coefficient(cfg)
+    # the isotropic effective coefficient from unit-direction cell problems:
+    # V_hom(F) ~= (c_hom / p) |F|^p
+    d, p = cfg.ensemble.dimension, cfg.integrand.p
+    rows = _cell_task((cfg, max(cfg.L_list), [tuple(np.eye(d)[c]) for c in range(d)], delta))
+    c_hom = float(np.mean([r.mean for r in rows])) * p
     hom = _homogenized_solve(cfg, c_hom)
-    return {
+    out = {
         "c_hom": c_hom,
-        "c_hom_stderr": c_err,
+        "c_hom_stderr": float(np.sqrt(np.mean([r.stderr**2 for r in rows]))) * p,
         "u_hom": hom.fields[0],
         "min_hom": hom.energy,
-        "limit": limit_pairing(hom.fields[0], dico, mode=mode, corrector_sets=csets),
-        "converged": c_ok and hom.converged and all(c.converged for c in csets or ()),
-        "wall_ms": (time.perf_counter() - t0) * 1e3,
+        "converged": all(x.converged for x in [*rows, *(csets or ()), hom]),
     }
+    if dico is not None:
+        out["limit"] = limit_pairing(hom.fields[0], dico, mode=mode, corrector_sets=csets)
+    out["wall_ms"] = (time.perf_counter() - t0) * 1e3
+    return out
 
 
 def _pairing_vector(res: dict, dico: Dictionary) -> PairingVector:
@@ -330,7 +355,7 @@ def run_homogenization_sweep(
     _log_realizations(rep, cfg)
     _log_growth(rep, cfg)
     dico = _dictionary(cfg)
-    tasks = [(_limit_task, (cfg, dico, "function"))] + _quenched_tasks(cfg, dico, nodal=True)
+    tasks = [(_limit_task, (cfg, dico, "function", 0.0))] + _quenched_tasks(cfg, dico, nodal=True)
     # each quenched result is reduced as it comes, so the nodal minimizers of
     # one eps are never all held at once
     with closing(_imap(tasks, threads)) as results:
@@ -344,8 +369,7 @@ def _sweep_report(
     task's first, then the quenched ones eps-major, as `_quenched_tasks` lists them."""
     ref = next(results)
     u_hom, min_hom, lim = ref["u_hom"], ref["min_hom"], ref["limit"]
-    rep.timing_rows.append(["sweep", "reference", ref["wall_ms"]])
-    rep.any_nonconverged |= not ref["converged"]
+    _record(rep, "reference", ref)
     rep.summary.update(c_hom=ref["c_hom"], c_hom_stderr=ref["c_hom_stderr"], min_hom=min_hom)
 
     gap_med, dist_med = [], []
@@ -359,23 +383,14 @@ def _sweep_report(
             dlp = lp_distance(u, hom_values, cfg.integrand.p)
             gaps.append(gap)
             dists.append(dlp)
-            rep.rows.append(
-                ReportRow(
-                    study="sweep",
-                    eps=eps,
-                    delta=0.0,
-                    L=max(cfg.L_list),
-                    seed=str(res["seed"]),
-                    min_energy=res["min_energy"],
-                    energy_gap=gap,
-                    dist_lp=dlp,
-                    dist_pairing=metric_distance(_pairing_vector(res, dico), lim),
-                    iters=res["iters"],
-                    grad_norm=res["grad_norm"],
-                )
+            _quenched_row(
+                rep,
+                res,
+                max(cfg.L_list),
+                energy_gap=gap,
+                dist_lp=dlp,
+                dist_pairing=metric_distance(_pairing_vector(res, dico), lim),
             )
-            rep.timing_rows.append(["sweep", f"eps={eps:g},seed={res['seed']}", res["wall_ms"]])
-            rep.any_nonconverged |= not res["converged"]
         gap_med.append(_median(gaps))
         dist_med.append(_median(dists))
     rate, resid = _fit_rate(list(cfg.eps_list), gap_med)
@@ -407,21 +422,6 @@ def _diagram_task(payload):
         "iters": res.iterations,
         "grad_norm": res.grad_norm,
         "converged": res.converged,
-        "wall_ms": (time.perf_counter() - t0) * 1e3,
-    }
-
-
-def _corner_task(payload):
-    """The homogenized corner (eps = 0) of one delta: c(delta) and its solve."""
-    cfg, delta = payload
-    t0 = time.perf_counter()
-    c, _, c_ok = _reference_coefficient(cfg, delta=delta)
-    hom = _homogenized_solve(cfg, c)
-    return {
-        "delta": delta,
-        "c": c,
-        "min_hom": hom.energy,
-        "converged": c_ok and hom.converged,
         "wall_ms": (time.perf_counter() - t0) * 1e3,
     }
 
@@ -464,10 +464,12 @@ def run_regularization_diagram(
             )
 
     deltas = list(cfg.delta_list) + [0.0]
-    tasks = [(_corner_task, (cfg, dl)) for dl in deltas]
+    # the homogenized corners (eps = 0) of each delta first, their rows last
+    tasks = [(_limit_task, (cfg, None, None, dl)) for dl in deltas]
     tasks += [(_diagram_task, (cfg, eps, dl)) for eps in cfg.eps_list for dl in deltas]
-    out = _pmap(tasks, threads)
-    corners, results = out[: len(deltas)], out[len(deltas) :]
+    out = _imap(tasks, threads)
+    corners = list(islice(out, len(deltas)))
+    results = list(out)
     for res in results:
         rep.rows.append(
             ReportRow(
@@ -481,16 +483,11 @@ def run_regularization_diagram(
                 grad_norm=res["grad_norm"],
             )
         )
-        rep.timing_rows.append(
-            ["diagram", f"eps={res['eps']:g},delta={res['delta']:g}", res["wall_ms"]]
-        )
-        rep.any_nonconverged |= not res["converged"]
+        _record(rep, f"eps={res['eps']:g},delta={res['delta']:g}", res)
 
-    # homogenized corners per delta (eps = 0 rows)
     c_by_delta = {}
-    for res in corners:
-        dl = res["delta"]
-        c_by_delta[dl] = (res["c"], res["min_hom"])
+    for dl, res in zip(deltas, corners):
+        c_by_delta[dl] = (res["c_hom"], res["min_hom"])
         rep.rows.append(
             ReportRow(
                 study="diagram",
@@ -501,8 +498,7 @@ def run_regularization_diagram(
                 min_energy=res["min_hom"],
             )
         )
-        rep.timing_rows.append(["diagram", f"hom,delta={dl:g}", res["wall_ms"]])
-        rep.any_nonconverged |= not res["converged"]
+        _record(rep, f"hom,delta={dl:g}", res)
 
     eps_min = min(cfg.eps_list)
     delta_min = min(cfg.delta_list)
@@ -599,9 +595,9 @@ def run_nonergodic_study(cfg: ExperimentConfig, threads: int = 1, force: bool = 
     dico = _dictionary(cfg)
     n = cfg.n_realizations
     tasks = [(_own_limit_task, (cfg, dico, i)) for i in range(n)] + _quenched_tasks(cfg, dico)
-    out = _pmap(tasks, threads)
+    results = _imap(tasks, threads)
     limits = {}
-    for res in out[:n]:
+    for res in islice(results, n):
         key = str(res["seed"])
         limits[key] = res["limit"]
         rep.rows.append(
@@ -612,39 +608,21 @@ def run_nonergodic_study(cfg: ExperimentConfig, threads: int = 1, force: bool = 
                 L=cfg.ensemble.period,
                 seed=key,
                 min_energy=res["min_hom"],
-                dist_pairing=None,
                 iters=res["iters"],
                 grad_norm=res["grad_norm"],
             )
         )
-        rep.timing_rows.append(["nonergodic", f"limit,seed={key}", res["wall_ms"]])
-        rep.any_nonconverged |= not res["converged"]
+        _record(rep, f"limit,seed={key}", res)
 
     trajectories: dict[str, list[PairingVector]] = {str(i): [] for i in range(n)}
-    for res in out[n:]:
+    for res in results:
         key = str(res["seed"])
         pv = _pairing_vector(res, dico)
         trajectories[key].append(pv)
-        rep.rows.append(
-            ReportRow(
-                study="nonergodic",
-                eps=res["eps"],
-                delta=0.0,
-                L=cfg.ensemble.period,
-                seed=key,
-                min_energy=res["min_energy"],
-                dist_pairing=metric_distance(pv, limits[key]),
-                iters=res["iters"],
-                grad_norm=res["grad_norm"],
-            )
-        )
-        rep.timing_rows.append(["nonergodic", f"eps={res['eps']:g},seed={key}", res["wall_ms"]])
-        rep.any_nonconverged |= not res["converged"]
+        _quenched_row(rep, res, cfg.ensemble.period, dist_pairing=metric_distance(pv, limits[key]))
     ym_limit = empirical_young_measure({k: [v] for k, v in limits.items()}, cfg.linkage_tol)
     ym = empirical_young_measure(trajectories, cfg.linkage_tol) if cfg.eps_list else ym_limit
-    for ci, cluster in enumerate(ym.clusters):
-        for j, val in enumerate(cluster.barycenter.values):
-            rep.young_rows.append([ci, cluster.weight, cluster.diameter, j + 1, val])
+    _young_rows(rep, ym)
     rep.summary.update(
         n_clusters=ym.n_clusters,
         n_clusters_limit=ym_limit.n_clusters,
@@ -680,7 +658,7 @@ def run_quenched_vs_mean(cfg: ExperimentConfig, threads: int = 1, force: bool = 
     rep = StudyReport(kind="quenched-vs-mean")
     _log_realizations(rep, cfg)
     dico = _dictionary(cfg)
-    tasks = [(_limit_task, (cfg, dico, "gradient"))]
+    tasks = [(_limit_task, (cfg, dico, "gradient", 0.0))]
     tasks += _quenched_tasks(cfg, dico, include_gradient=True)
     with closing(_imap(tasks, threads)) as results:
         return _quenched_vs_mean_report(rep, cfg, dico, results)
@@ -694,8 +672,7 @@ def _quenched_vs_mean_report(
     L = max(cfg.L_list)
     mean = next(results)
     min_hom, lim = mean["min_hom"], mean["limit"]
-    rep.timing_rows.append(["quenched-vs-mean", "limit", mean["wall_ms"]])
-    rep.any_nonconverged |= not mean["converged"]
+    _record(rep, "limit", mean)
     rep.summary.update(c_hom=mean["c_hom"], min_hom=min_hom)
 
     trajectories: dict[str, list[PairingVector]] = {str(i): [] for i in range(cfg.n_realizations)}
@@ -708,29 +685,14 @@ def _quenched_vs_mean_report(
             pv = _pairing_vector(res, dico)
             vecs.append(pv)
             trajectories[str(res["seed"])].append(pv)
-            dq = metric_distance(pv, lim)
-            rep.rows.append(
-                ReportRow(
-                    study="quenched-vs-mean",
-                    eps=eps,
-                    delta=0.0,
-                    L=L,
-                    seed=str(res["seed"]),
-                    min_energy=res["min_energy"],
-                    energy_gap=abs(res["min_energy"] - min_hom),
-                    dist_pairing=dq,
-                    iters=res["iters"],
-                    grad_norm=res["grad_norm"],
-                )
+            _quenched_row(
+                rep,
+                res,
+                L,
+                energy_gap=abs(res["min_energy"] - min_hom),
+                dist_pairing=metric_distance(pv, lim),
             )
-            rep.timing_rows.append(
-                ["quenched-vs-mean", f"eps={eps:g},seed={res['seed']}", res["wall_ms"]]
-            )
-            rep.any_nonconverged |= not res["converged"]
-            for j, val in enumerate(pv.values):
-                rep.pairing_rows.append(
-                    [res["seed"], eps, j + 1, _phi_label(dico, j), val]
-                )
+            _pairing_rows(rep, dico, res["seed"], eps, pv.values)
         mean_vec = _average_pairings(vecs, eps)
         mean_trajectory.append(mean_vec)
         dm = metric_distance(mean_vec, lim)
@@ -748,15 +710,11 @@ def _quenched_vs_mean_report(
                 dist_pairing=dm,
             )
         )
-        for j, val in enumerate(mean_vec.values):
-            rep.pairing_rows.append(["mean", eps, j + 1, _phi_label(dico, j), val])
-    for j, val in enumerate(lim.values):
-        rep.pairing_rows.append(["limit", 0.0, j + 1, _phi_label(dico, j), val])
+        _pairing_rows(rep, dico, "mean", eps, mean_vec.values)
+    _pairing_rows(rep, dico, "limit", 0.0, lim.values)
 
     ym = empirical_young_measure(trajectories, cfg.linkage_tol)
-    for ci, cluster in enumerate(ym.clusters):
-        for j, val in enumerate(cluster.barycenter.values):
-            rep.young_rows.append([ci, cluster.weight, cluster.diameter, j + 1, val])
+    _young_rows(rep, ym)
     mean_cauchy = max(
         (metric_distance(a, b) for a, b in zip(mean_trajectory, mean_trajectory[1:])),
         default=0.0,
@@ -783,6 +741,12 @@ def _phi_label(dico: Dictionary, flat_j: int) -> str:
     return dico.entries[j].phi_id + suffix
 
 
+def _pairing_rows(rep: StudyReport, dico: Dictionary, tag, eps: float, values) -> None:
+    """One pairings.csv row per entry of a pairing vector."""
+    for j, val in enumerate(values):
+        rep.pairing_rows.append([tag, eps, j + 1, _phi_label(dico, j), val])
+
+
 # ------------------------------------------------- operation commands ----
 
 
@@ -790,36 +754,24 @@ def run_cell_table(cfg: ExperimentConfig, threads: int = 1, force: bool = False)
     """Tabulate the effective integrand over (F, L, delta)."""
     rep = StudyReport(kind="cell")
     deltas = list(cfg.delta_list) if cfg.delta_list else [0.0]
-    for L in cfg.L_list:
-        for dl in deltas:
-            rows = effective_integrand(
-                cfg.ensemble,
-                L,
-                cfg.integrand,
-                cfg.F_grid,
-                delta=dl,
-                n_samples=cfg.n_realizations,
-                n_per_cell=cfg.n_per_cell,
-                tol=cfg.tol,
-                max_iter=cfg.max_iter,
+    tasks = [(_cell_task, (cfg, L, cfg.F_grid, dl)) for L in cfg.L_list for dl in deltas]
+    for rows in _imap(tasks, threads):
+        for r in rows:
+            rep.cell_rows.append(
+                [
+                    " ".join(repr(c) for c in r.F),
+                    r.L,
+                    r.delta,
+                    None,
+                    cfg.seed,
+                    r.mean,
+                    r.stderr,
+                    r.iterations,
+                    r.grad_norm,
+                    r.wall_ms,
+                ]
             )
-            for r in rows:
-                rep.any_nonconverged |= not r.converged
-                rep.cell_rows.append(
-                    [
-                        " ".join(repr(c) for c in r.F),
-                        r.L,
-                        r.delta,
-                        None,
-                        cfg.seed,
-                        r.mean,
-                        r.stderr,
-                        r.iterations,
-                        r.grad_norm,
-                        r.wall_ms,
-                    ]
-                )
-                rep.timing_rows.append(["cell", f"L={L},delta={dl:g}", r.wall_ms])
+            _record(rep, f"L={r.L},delta={r.delta:g}", vars(r))
     if len(cfg.L_list) > 1:
         for dl in deltas:
             xs = tuple(float(L) for L in cfg.L_list)
@@ -840,12 +792,11 @@ def run_solve(cfg: ExperimentConfig, threads: int = 1, force: bool = False) -> S
     _check_resolution(cfg, force)
     rep = StudyReport(kind="solve")
     L = max(cfg.L_list)
-    for res in _pmap(_quenched_tasks(cfg, None), threads):
+    for res in _imap(_quenched_tasks(cfg, None), threads):
         eps, i, wall = res["eps"], res["seed"], res["wall_ms"]
         row = [None, L, 0.0, eps, i, res["min_energy"], None, res["iters"], res["grad_norm"], wall]
         rep.cell_rows.append(row)
-        rep.any_nonconverged |= not res["converged"]
-        rep.timing_rows.append(["solve", f"eps={eps:g},seed={i}", wall])
+        _record(rep, f"eps={eps:g},seed={i}", res)
     return rep
 
 

@@ -85,31 +85,50 @@ def combined_weight(spec: IntegrandSpec, r: Realization, x: np.ndarray) -> np.nd
     return w
 
 
+def _norm_powers(g: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """|g|^2 and |g|^(p-2) over the last (length-d) axis, the power 0 where g = 0."""
+    sq = g[..., 0] * g[..., 0]
+    s = np.empty(sq.shape)
+    if g.shape[-1] == 2:
+        sq += np.multiply(g[..., 1], g[..., 1], out=s)
+    with np.errstate(divide="ignore"):  # 0 to a negative power, zeroed next
+        np.power(sq, 0.5 * p - 1.0, out=s)
+    s[sq == 0] = 0.0
+    return sq, s
+
+
+def _scaled(s: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """s[..., None] * g, one component at a time (a length-d inner loop is slow);
+    `out` may be g itself."""
+    if out is None:
+        out = np.empty(g.shape)
+    for a in range(g.shape[-1]):
+        np.multiply(s, g[..., a], out=out[..., a])
+    return out
+
+
+def _density(w: np.ndarray, F: np.ndarray, p: float) -> np.ndarray:
+    """(w/p) |F|^p, formed as the solver's objective forms it: w |F|^(p-2) |F|^2 / p."""
+    sq, s = _norm_powers(F, p)
+    return (w * s) * sq / p
+
+
 def evaluate_density(
     spec: IntegrandSpec, r: Realization, x: np.ndarray, F: np.ndarray
 ) -> np.ndarray | float:
     """Density value(s) at macroscopic point(s) x and gradient(s) F."""
-    x = np.asarray(x, dtype=float)
     F = np.asarray(F, dtype=float)
-    scalar = F.ndim == 1
-    w = combined_weight(spec, r, x)
-    n = np.linalg.norm(F, axis=-1)
-    out = (w / spec.p) * n**spec.p
-    return float(out) if scalar else out
+    out = _density(combined_weight(spec, r, x), F, spec.p)
+    return float(out) if F.ndim == 1 else out
 
 
 def density_gradient(
     spec: IntegrandSpec, r: Realization, x: np.ndarray, F: np.ndarray
 ) -> np.ndarray:
     """dV/dF = w |F|^{p-2} F, with the minimal-norm subgradient 0 at F = 0."""
-    x = np.asarray(x, dtype=float)
     F = np.asarray(F, dtype=float)
-    w = np.asarray(combined_weight(spec, r, x), dtype=float)
-    n = np.linalg.norm(F, axis=-1)
-    scale = np.zeros_like(n)
-    nz = n > 0
-    scale[nz] = w[nz] * n[nz] ** (spec.p - 2.0)
-    return scale[..., None] * F
+    _, s = _norm_powers(F, spec.p)
+    return _scaled(combined_weight(spec, r, x) * s, F)
 
 
 @dataclass(frozen=True)
@@ -186,7 +205,7 @@ def verify_growth(
         lam = spec.lambda_cells
         period = ensemble.period if lam.period is None else lam.period
         w = w * _cell_values(lam.cells, _mix(seeds, TAG_LAMBDA), period, cells)
-    vals = (w / spec.p) * np.linalg.norm(F, axis=-1) ** spec.p
+    vals = _density(w, F, spec.p)
 
     t = mag**spec.p / spec.p
     c_high = float(np.max(vals / (t + 1.0)))

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .integrand import IntegrandSpec, combined_weight
+from .integrand import IntegrandSpec, _norm_powers, _scaled, combined_weight
 from .medium import EnsembleSpec, Realization, periodize, sample_realization
 from .meshing import (
     DIRICHLET_ZERO,
@@ -295,28 +295,6 @@ class _Objective:
         if not np.isfinite(value):
             raise FloatingPointError("energy evaluated to a non-finite value")
         return value, grad.ravel()
-
-
-def _norm_powers(g: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """|g|^2 and |g|^(p-2) over the last (length-d) axis, the power 0 where g = 0."""
-    sq = g[..., 0] * g[..., 0]
-    s = np.empty(sq.shape)
-    if g.shape[-1] == 2:
-        sq += np.multiply(g[..., 1], g[..., 1], out=s)
-    with np.errstate(divide="ignore"):  # 0 to a negative power, zeroed next
-        np.power(sq, 0.5 * p - 1.0, out=s)
-    s[sq == 0] = 0.0
-    return sq, s
-
-
-def _scaled(s: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """s[..., None] * g, one component at a time (a length-d inner loop is slow);
-    `out` may be g itself."""
-    if out is None:
-        out = np.empty(g.shape)
-    for a in range(g.shape[-1]):
-        np.multiply(s, g[..., a], out=out[..., a])
-    return out
 
 
 # odd-extension entries per DST-I block, which bounds `_dst1`'s buffers
@@ -669,6 +647,8 @@ def cell_problem(
         load_values=np.zeros(mesh.n_elements),
         delta=delta,
         constraint=PERIODIC_MEAN_ZERO,
+        # F repeated per element: adding a (d,) offset runs a length-d inner
+        # loop, about 11x slower per evaluation at 10^4 elements
         gradient_offset=np.broadcast_to(F, (mesh.n_elements, d)).copy(),
         penalty="corrector",
         scale=1.0 / float(L) ** d,

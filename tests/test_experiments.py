@@ -110,9 +110,38 @@ n_realizations = 2
 """
 
 
+CELL_TWO_L = """
+[ensemble]
+dimension = 2
+values = 1, 4
+probs = 0.5, 0.5
+seed = 21
+
+[integrand]
+p = 1.5
+
+[study]
+kind = cell
+L = 2, 3
+delta = 0.1
+n_realizations = 2
+F = 1, 0; 1, 1
+"""
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def comparable(path):
+    """A file's bytes; for a table with a wall_ms column, its rows without it."""
+    if path.suffix == ".csv":
+        rows = read_rows(path)
+        if "wall_ms" in rows[0]:
+            keep = [i for i, col in enumerate(rows[0]) if col != "wall_ms"]
+            return [[row[i] for i in keep] for row in rows]
+    return path.read_bytes()
 
 
 # eps and delta lists of the test, demo and benchmark configs
@@ -431,22 +460,23 @@ class TestOutputsAndCLI:
             ("quenched-vs-mean", QVM_SMALL, ("report.csv", "pairings.csv", "young.csv", "summary.txt")),
             # a nonergodic study writes no pairings.csv
             ("nonergodic", NONERGODIC_SMALL, ("report.csv", "young.csv", "summary.txt")),
+            ("diagram", DIAGRAM_SMALL + "tol_diagram = 0.5\n", ("report.csv", "summary.txt")),
+            # one task per (L, delta) table
+            ("cell", CELL_TWO_L, ("cell.csv", "plots/cell.svg")),
         ],
-        ids=["quenched-vs-mean", "nonergodic"],
+        ids=["quenched-vs-mean", "nonergodic", "diagram", "cell"],
     )
     def test_pool_studies_identical_across_threads(self, tmp_path, command, config, files):
-        # the limit tasks run in the pool beside the quenched tasks
+        # the limit, corner and cell-table tasks run in the pool beside the
+        # quenched tasks; timings.csv and cell.csv are compared without wall_ms
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(config)
         runs = []
         for k in (1, 2):
             out = tmp_path / f"t{k}"
             assert cli_main([command, "--config", str(cfg_path), "--out", str(out), "--threads", str(k)]) == 0
-            rows = read_rows(out / "timings.csv")
-            keep = [i for i, col in enumerate(rows[0]) if col != "wall_ms"]
-            timings = [[row[i] for i in keep] for row in rows]
-            runs.append(([(out / name).read_bytes() for name in files], timings))
-        assert len(runs[0][1]) > 1
+            runs.append([comparable(out / name) for name in files + ("timings.csv",)])
+        assert len(runs[0][-1]) > 1
         assert runs[0] == runs[1]
 
     def test_rerun_is_byte_identical_and_svg_structural(self, tmp_path):
@@ -622,9 +652,9 @@ class TestOutputsAndCLI:
                 return map(fn, payloads)
 
         monkeypatch.setattr(exp_mod, "ProcessPoolExecutor", RecordingPool)
-        assert exp_mod._pmap([(abs, -1), (abs, -2)], 64) == [1, 2]
-        assert exp_mod._pmap([(abs, -3)], 64) == [3]
-        assert exp_mod._pmap([(abs, -4), (abs, -5), (abs, -6)], 2) == [4, 5, 6]
+        assert list(exp_mod._imap([(abs, -1), (abs, -2)], 64)) == [1, 2]
+        assert list(exp_mod._imap([(abs, -3)], 64)) == [3]
+        assert list(exp_mod._imap([(abs, -4), (abs, -5), (abs, -6)], 2)) == [4, 5, 6]
         assert sizes == [2, 2]  # the one-task call ran serially
 
 
