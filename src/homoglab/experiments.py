@@ -22,7 +22,7 @@ import os
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import islice
@@ -112,19 +112,51 @@ def _call(task):
 def _imap(tasks: list, threads: int) -> Iterator:
     """Run (fn, payload) tasks, yielding the results in list order.
 
-    The pool hands tasks out in list order, so a study lists its longest
-    tasks first; with one worker (or one task) they run in-process, in order,
-    each when its result is asked for.  A caller that reduces each result as
-    it comes never holds them all; closing the iterator ends the pool.
+    The pool hands tasks out in list order, one to each worker as it becomes
+    free; with one worker (or one task) they run in-process, in order, each
+    when its result is asked for, and no pool module is imported.  A caller
+    that reduces each result as it comes never holds them all.  Closing the
+    iterator, or a task that raises, ends the pool once the tasks already
+    running finish: no queued task starts.
     """
     # the pool starts all its workers up front: never more than there are tasks
     workers = min(threads or 1, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            yield from ex.map(_call, tasks)
-    else:
+    if workers <= 1:
         for fn, payload in tasks:
             yield fn(payload)
+        return
+    # the pool stack (multiprocessing, sockets, selectors, logging) loads only
+    # here, just before the workers fork
+    from concurrent.futures import ProcessPoolExecutor
+    from queue import SimpleQueue
+    from threading import RLock
+
+    waiting = deque(tasks)
+    submitted = SimpleQueue()  # futures in list order
+    lock = RLock()  # a callback of an already finished future runs at once
+    ex = ProcessPoolExecutor(max_workers=workers)
+
+    def feed(done=None):
+        # the executor moves submitted tasks into its call queue, up to
+        # workers + 1 of them, where cancel() no longer reaches them: submit
+        # one task per free worker, and none after a failure
+        with lock:
+            if done is not None and (done.cancelled() or done.exception() is not None):
+                waiting.clear()
+            if waiting:
+                fut = ex.submit(_call, waiting.popleft())
+                submitted.put(fut)
+                fut.add_done_callback(feed)
+
+    try:
+        for _ in range(workers):
+            feed()
+        for _ in tasks:
+            yield submitted.get().result()
+    finally:
+        with lock:
+            waiting.clear()
+        ex.shutdown(cancel_futures=True)
 
 
 def _record(rep: StudyReport, label: str, res: dict) -> None:
@@ -286,7 +318,8 @@ def _quenched_task(payload):
 def _quenched_tasks(
     cfg: ExperimentConfig, dico: Dictionary | None, include_gradient=False, nodal=False
 ) -> list:
-    """One quenched task per (eps, realization), in eps-major order."""
+    """One quenched task per (eps, realization), eps-major from the coarsest
+    eps: the order in which the studies reduce them."""
     return [
         (_quenched_task, (cfg, eps, i, dico, include_gradient, nodal))
         for eps in cfg.eps_list
@@ -298,8 +331,10 @@ def _limit_task(payload):
     """The mean side of a study at penalty delta: c_hom from the reference
     cell problems and the homogenized solve, then, given a dictionary, the
     limit pairing.  mode "gradient" pairs against the sampled correctors too
-    (the quenched-vs-mean limit); the diagram's corners pass no dictionary."""
-    cfg, dico, mode, delta = payload
+    (the quenched-vs-mean limit); the diagram's corners pass no dictionary.
+    The fine-mesh homogenized field is returned only when asked for (the
+    sweep's L^p distance)."""
+    cfg, dico, mode, delta, nodal = payload
     t0 = time.perf_counter()
     csets = None
     if mode == "gradient":
@@ -321,10 +356,11 @@ def _limit_task(payload):
     out = {
         "c_hom": c_hom,
         "c_hom_stderr": float(np.sqrt(np.mean([r.stderr**2 for r in rows]))) * p,
-        "u_hom": hom.fields[0],
         "min_hom": hom.energy,
         "converged": all(x.converged for x in [*rows, *(csets or ()), hom]),
     }
+    if nodal:
+        out["u_hom"] = hom.fields[0]
     if dico is not None:
         out["limit"] = limit_pairing(hom.fields[0], dico, mode=mode, corrector_sets=csets)
     out["wall_ms"] = (time.perf_counter() - t0) * 1e3
@@ -355,7 +391,8 @@ def run_homogenization_sweep(
     _log_realizations(rep, cfg)
     _log_growth(rep, cfg)
     dico = _dictionary(cfg)
-    tasks = [(_limit_task, (cfg, dico, "function", 0.0))] + _quenched_tasks(cfg, dico, nodal=True)
+    tasks = [(_limit_task, (cfg, dico, "function", 0.0, True))]
+    tasks += _quenched_tasks(cfg, dico, nodal=True)
     # each quenched result is reduced as it comes, so the nodal minimizers of
     # one eps are never all held at once
     with closing(_imap(tasks, threads)) as results:
@@ -465,7 +502,7 @@ def run_regularization_diagram(
 
     deltas = list(cfg.delta_list) + [0.0]
     # the homogenized corners (eps = 0) of each delta first, their rows last
-    tasks = [(_limit_task, (cfg, None, None, dl)) for dl in deltas]
+    tasks = [(_limit_task, (cfg, None, None, dl, False)) for dl in deltas]
     tasks += [(_diagram_task, (cfg, eps, dl)) for eps in cfg.eps_list for dl in deltas]
     out = _imap(tasks, threads)
     corners = list(islice(out, len(deltas)))
@@ -658,7 +695,7 @@ def run_quenched_vs_mean(cfg: ExperimentConfig, threads: int = 1, force: bool = 
     rep = StudyReport(kind="quenched-vs-mean")
     _log_realizations(rep, cfg)
     dico = _dictionary(cfg)
-    tasks = [(_limit_task, (cfg, dico, "gradient", 0.0))]
+    tasks = [(_limit_task, (cfg, dico, "gradient", 0.0, False))]
     tasks += _quenched_tasks(cfg, dico, include_gradient=True)
     with closing(_imap(tasks, threads)) as results:
         return _quenched_vs_mean_report(rep, cfg, dico, results)

@@ -13,6 +13,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Sequence
 
 __all__ = [
@@ -47,13 +48,16 @@ TIMING_HEADER = ["study", "task", "wall_ms"]
 
 
 def fmt(value) -> str:
-    """Shortest round-trip text for a cell value; empty for None."""
+    """Shortest round-trip text for a cell value; empty for None.  A real
+    scalar, numpy's included, is written as a plain float."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, Integral):
+        return str(int(value))
+    if isinstance(value, Real):
+        return repr(float(value))
     return str(value)
 
 

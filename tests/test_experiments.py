@@ -1,18 +1,23 @@
 """Studies, CSV/SVG outputs, CLI behavior, reproducibility."""
 
+import concurrent.futures
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
+import threading
+import time
 import xml.etree.ElementTree as ET
+from contextlib import closing
 
 import numpy as np
 import pytest
 
 from homoglab import experiments
 from homoglab.cli import main as cli_main
-from homoglab.config import ConfigError, parse_config
+from homoglab.config import STUDY_KINDS, ConfigError, parse_config
 from homoglab.experiments import (
     run_cell_table,
     run_homogenization_sweep,
@@ -127,6 +132,46 @@ delta = 0.1
 n_realizations = 2
 F = 1, 0; 1, 1
 """
+
+
+def _marked_task(payload):
+    """Leave a marker file named after the task in `started`, then raise (the
+    failing task) or, for every task but the first, wait for the caller's
+    `release` file."""
+    folder, i, fail = payload
+    (folder / "started" / str(i)).touch()
+    if i == fail:
+        raise ValueError(f"task {i} failed")
+    deadline = time.monotonic() + 30
+    while i and not (folder / "release").exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return i
+
+
+# the text cells of the CSV files: a number, or one of these labels
+_NUM = r"[-+.\de]+"
+_TUPLE = r"\((-?\d+(, -?\d+)*,?)?\)"
+_LABELS = {
+    "study": "|".join(re.escape(k) for k in STUDY_KINDS),
+    "quantity": "median_energy_gap|median_lp_distance",
+    "task": rf"reference|limit|limit,seed=\d+|hom,delta={_NUM}|eps={_NUM},(seed=\d+|delta={_NUM})"
+    rf"|L=\d+,delta={_NUM}",
+    "phi_id": rf"(one|val{_TUPLE}|ind{_TUPLE}={_NUM})\*cos{_TUPLE}(@g\d+)?",
+    "seed": "mean|hom|limit",
+}
+
+
+def _parses(column, cell):
+    """Whether a CSV cell is empty, a number, a space-separated vector of
+    numbers (F, offset) or a known label of its column."""
+    if cell == "" or re.fullmatch(_LABELS.get(column, "(?!)"), cell):
+        return True
+    try:
+        for x in cell.split(" ") if column in ("F", "offset") else [cell]:
+            float(x)
+    except ValueError:
+        return False
+    return True
 
 
 def read_rows(path):
@@ -619,19 +664,24 @@ class TestOutputsAndCLI:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = (
             "import sys\n"
+            "import homoglab, homoglab.cli, homoglab.experiments\n"
             "from homoglab.config import parse_config\n"
             "from homoglab.experiments import run_study, write_outputs\n"
+            "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+            "print(sorted(m for m in pool if m in sys.modules))\n"
             "for i, text in enumerate(sys.argv[2:]):\n"
             "    cfg = parse_config(text)\n"
             "    write_outputs(run_study(cfg, threads=1), cfg, sys.argv[1] + str(i))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['numpy', 'random'], "
-            "['numpy', 'ma'])))"
+            "['numpy', 'ma']) or m in pool))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code, str(tmp_path / "out"), SWEEP_SMALL, DIAGRAM_SMALL],
             env=env, capture_output=True, text=True, check=True,
         )
-        assert out.stdout.strip() == "[]"
+        # nor, in-process at threads = 1, the process-pool stack: not at
+        # import and not after both runs
+        assert out.stdout.splitlines() == ["[]", "[]"]
 
     def test_pool_never_larger_than_task_count(self, monkeypatch):
         import homoglab.experiments as exp_mod
@@ -642,20 +692,86 @@ class TestOutputsAndCLI:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
+            def submit(self, fn, task):
+                fut = concurrent.futures.Future()
+                fut.set_result(fn(task))
+                return fut
 
-            def __exit__(self, *exc):
-                return False
+            def shutdown(self, cancel_futures=False):
+                pass
 
-            def map(self, fn, payloads):
-                return map(fn, payloads)
-
-        monkeypatch.setattr(exp_mod, "ProcessPoolExecutor", RecordingPool)
+        # _imap imports the pool class when it starts a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         assert list(exp_mod._imap([(abs, -1), (abs, -2)], 64)) == [1, 2]
         assert list(exp_mod._imap([(abs, -3)], 64)) == [3]
         assert list(exp_mod._imap([(abs, -4), (abs, -5), (abs, -6)], 2)) == [4, 5, 6]
         assert sizes == [2, 2]  # the one-task call ran serially
+
+    @pytest.mark.parametrize("how", ["close", "raise"])
+    def test_stopped_pool_starts_no_queued_task(self, tmp_path, how):
+        # task 0 returns at once and the others wait until 0.3 s after the
+        # first result; the caller then closes the pool, or task 1 raises.
+        # Only the tasks already running finish: of 12 tasks on 2 workers,
+        # at most tasks 0 to 3 ever start (task 1 may still be queued, and
+        # so cancelled, when the pool is closed), and none of the later ones
+        (tmp_path / "started").mkdir()
+        fail = 1 if how == "raise" else None
+        tasks = [(_marked_task, (tmp_path, i, fail)) for i in range(12)]
+        release = threading.Timer(0.3, (tmp_path / "release").touch)
+        with closing(experiments._imap(tasks, 2)) as results:
+            assert next(results) == 0
+            release.start()
+            if how == "raise":
+                with pytest.raises(ValueError, match="task 1 failed"):
+                    next(results)
+        release.join()
+        started = sorted(int(p.name) for p in (tmp_path / "started").iterdir())
+        assert started[0] == 0
+        assert started[-1] <= 3
+
+    def test_pool_keeps_list_order_with_more_workers_than_cores(self):
+        # finished tasks' callbacks submit the next ones while the caller
+        # reads results: 4 workers on short tasks, a short switch interval,
+        # in a subprocess that must finish within a minute
+        import homoglab
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(homoglab.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys\n"
+            "from homoglab.experiments import _imap\n"
+            "sys.setswitchinterval(1e-5)\n"
+            "print(list(_imap([(abs, -i) for i in range(300)], 4)) == list(range(300)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+            timeout=60,
+        )
+        assert out.stdout.strip() == "True"
+
+    def test_every_csv_cell_parses(self, tmp_path):
+        # numpy scalars are written as plain floats, never as np.float64(...)
+        configs = {
+            "sweep": SWEEP_SMALL,
+            "diagram": DIAGRAM_SMALL,
+            "nonergodic": NONERGODIC_SMALL,
+            "quenched-vs-mean": QVM_SMALL,
+            "cell": CELL_TWO_L,
+            "solve": SWEEP_SMALL,
+        }
+        assert sorted(configs) == sorted(STUDY_KINDS)
+        tables = 0
+        for kind, text in configs.items():
+            cfg = parse_config(text, kind=kind)
+            paths = write_outputs(run_study(cfg), cfg, str(tmp_path / kind))
+            for path in (p for p in paths if p.endswith(".csv")):
+                header, *rows = read_rows(path)
+                assert rows, path
+                for row in rows:
+                    bad = [(c, v) for c, v in zip(header, row, strict=True) if not _parses(c, v)]
+                    assert not bad, (path, bad)
+                tables += 1
+        assert tables == 20
 
 
 # 2D configs whose inner products are long enough for a threaded BLAS to
